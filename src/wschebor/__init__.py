@@ -23,6 +23,7 @@ from .paths import (
     GridPath,
     ProcessDescriptor,
     fbm_covariance,
+    seed_split,
     simulate,
     simulate_brownian,
     simulate_fbm,
@@ -106,6 +107,6 @@ from .discrete import (
     validate_ldp_schedule,
     validate_lln_schedule,
 )
-from .cli import ExperimentConfig, list_experiments, run, seed_split
+from .cli import ExperimentConfig, list_experiments, run
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ check under --strict, 3 internal error.
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 import time
@@ -28,18 +27,8 @@ from . import ldp, levelproc, measures, mollifiers, spectral
 from .errors import ConfigError, WscheborError
 from .increments import dpsi_window, normalized_increment
 from .mollifiers import bessel_k0, kernel_by_id
-from .paths import ProcessDescriptor, simulate, simulate_brownian
-
-
-def seed_split(master_seed, replica_index):
-    """Collision-resistant per-replica seed, stable across versions.
-
-    SHA-256 of the decimal rendering "master:replica", truncated to
-    63 bits.  Documented so results can be reproduced outside this
-    package.
-    """
-    digest = hashlib.sha256(f"{int(master_seed)}:{int(replica_index)}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+from .paths import (ProcessDescriptor, seed_split, simulate, simulate_brownian,
+                    standard_stable)
 
 
 def run_replicas(fn, replicas, master_seed, threads=1):
@@ -391,12 +380,13 @@ def run_discrete_lag(config):
                                      lambda k: int(k ** 5), 40)
     rep2 = dsc.validate_lln_schedule(dsc.over_log_schedule(), 0.25,
                                      lambda k: int(np.exp(k ** 2)), 26)
-    rep3 = dsc.validate_lln_schedule(dsc.custom_schedule(lambda n: np.log(n)), 0.25,
-                                     lambda k: int(k ** 5), 40)
+    rep3 = dsc.validate_ldp_schedule(dsc.custom_schedule(lambda n: np.log(n)),
+                                     2 ** 10, 2 ** 24)
     metrics.append(metric("power_schedule_passes", 0.0, 1.0, passed=rep1.all_pass()))
     metrics.append(metric("overlog_schedule_passes", 0.0, 1.0, passed=rep2.all_pass()))
     metrics.append(metric("log_schedule_rejected", 0.0, 1.0,
-                          passed=not rep3.check("lag-unbounded-ratio-vanishing").passed))
+                          passed=not (rep3.check("log-bracket").passed
+                                      or rep3.check("sqrt-divergence").passed)))
     pairs = min(config.replicas, 20)
     meds = []
     for nn in (2 ** 14, n):
@@ -433,8 +423,14 @@ def run_stable_marginal(config):
 
     samples = np.array(run_replicas(one, config.replicas, config.seed, config.threads))
     rng = np.random.Generator(np.random.PCG64(seed_split(config.seed, 10 ** 6)))
-    from .paths import standard_stable
-    reference = standard_stable(alpha, rng, config.replicas) * kernel.norm(alpha)
+    if config.family == "stable":
+        reference = standard_stable(alpha, rng, config.replicas) * kernel.norm(alpha)
+    else:
+        # Gaussian families: the increment is N(0, sigma^2) exactly, whereas
+        # the alpha = 2 stable law would carry variance 2 ||psi||_2^2.
+        hurst = config.hurst if config.family == "fbm" else 0.5
+        reference = rng.standard_normal(config.replicas) \
+            * np.sqrt(spectral.sigma_sq(kernel, hurst))
     mu = measures.EmpiricalMeasure.from_samples(samples)
     nu = measures.EmpiricalMeasure.from_samples(reference)
     ks = measures.ks_two_sample(mu, nu)

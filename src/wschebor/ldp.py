@@ -11,7 +11,6 @@ Exponential estimators degrade as the horizon grows: estimates report
 their effective sample size, warn below 10% and refuse below 1%.
 """
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ from scipy import integrate, optimize
 
 from .errors import DegenerateEstimatorError, NormalizationError, ParameterError
 from .increments import unit_scale_process
-from .paths import simulate
+from .paths import seed_split, simulate
 
 MIN_ESS_FRACTION = 0.01
 WARN_ESS_FRACTION = 0.10
@@ -114,19 +113,6 @@ class CGFEstimate:
                 return e
         raise KeyError(name)
 
-    def to_json(self, path=None):
-        payload = {
-            "kernel": self.kernel_id,
-            "horizon": self.horizon,
-            "replicas": self.replicas,
-            "values": [{"name": e.name, "value": e.value,
-                        "stderr": e.stderr, "ess": e.ess} for e in self.entries],
-        }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-        return payload
-
 
 def _effective_width(kernel):
     """Shortest interval carrying 99% of the kernel's squared mass.
@@ -196,7 +182,7 @@ def estimate_cgf(kernel, source_family, dictionary, horizon, replicas, seed,
     integrals = np.empty((replicas, len(dictionary)))
     half = np.empty((replicas, len(dictionary)))
     for r in range(replicas):
-        src = simulate(source_family, n, hi - lo, seed + r, t_start=lo)
+        src = simulate(source_family, n, hi - lo, seed_split(seed, r), t_start=lo)
         y = unit_scale_process(src, kernel, window=(0.0, horizon)).values
         n_half = y.size // 2
         for j, f in enumerate(dictionary):
@@ -238,14 +224,6 @@ class RateCurve:
     def __post_init__(self):
         object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "rate"])
-            for x, v in zip(self.xs, self.values):
-                writer.writerow([repr(float(x)), repr(float(v))])
 
 
 def _lower_convex_envelope(xs, vals):

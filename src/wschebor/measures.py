@@ -11,7 +11,6 @@ Measures are immutable after construction and merging is associative and
 commutative, so Monte Carlo replicas can be combined in any order.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,13 +110,6 @@ class EmpiricalMeasure:
             return self
         raise ParameterError("measures are not defined on a common support")
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["value", "weight"])
-            for v, w in zip(self.points, self.weights):
-                writer.writerow([repr(float(v)), repr(float(w))])
-
 
 def _trapezoid_weights(n, dt):
     w = np.full(n, dt)
@@ -202,14 +194,6 @@ class SpaceTimeHistogram:
         cum = np.concatenate(([0.0], np.cumsum(row / total)))
         targets = np.asarray(target_cdf(self.value_edges), dtype=float)
         return float(np.max(np.abs(cum - targets)))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_bin", "v_bin", "mass"])
-            for i in range(self.mass.shape[0]):
-                for j in range(self.mass.shape[1]):
-                    writer.writerow([i, j, repr(float(self.mass[i, j]))])
 
 
 def space_time_measure(path, time_bins, value_bins, window=(0.0, 1.0), value_edges=None):

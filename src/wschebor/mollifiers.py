@@ -14,13 +14,10 @@ cache is filled idempotently, so concurrent reads are harmless.
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import ParameterError, QuadratureError
-
-EULER_GAMMA = 0.5772156649015328606
 
 # Exponential-tail kernels are truncated where exp(-x) is far below any
 # quadrature tolerance used in the library.
@@ -31,86 +28,17 @@ EXP_TAIL_CUTOFF = 46.0
 # Modified Bessel function K0
 # ---------------------------------------------------------------------------
 
-def _k0_series_float(x):
-    """Ascending series, accurate to ~1e-11 relative for 0 < x <= 6."""
-    x = np.asarray(x, dtype=float)
-    q = x * x / 4.0
-    term = np.ones_like(x)
-    i0 = np.ones_like(x)
-    acc = np.zeros_like(x)
-    h = 0.0
-    for k in range(1, 60):
-        term = term * q / (k * k)
-        i0 = i0 + term
-        h += 1.0 / k
-        acc = acc + term * h
-        if np.all(term * max(h, 1.0) < 1e-20 * (i0 + 1.0)):
-            break
-    return -(np.log(x / 2.0) + EULER_GAMMA) * i0 + acc
-
-
-def _k0_series_mp(x, dps=35):
-    """Same ascending series in extended precision; bridges the range where
-    float64 cancellation between the log term and the sum exceeds 1e-10."""
-    with mpmath.workdps(dps):
-        xm = mpmath.mpf(x)
-        q = xm * xm / 4
-        term = mpmath.mpf(1)
-        i0 = mpmath.mpf(1)
-        acc = mpmath.mpf(0)
-        h = mpmath.mpf(0)
-        k = 1
-        while True:
-            term = term * q / (k * k)
-            i0 += term
-            h += mpmath.mpf(1) / k
-            acc += term * h
-            if term * h < mpmath.mpf(10) ** (-dps) * i0:
-                break
-            k += 1
-        val = -(mpmath.log(xm / 2) + mpmath.euler) * i0 + acc
-        return float(val)
-
-
-def _k0_asymptotic(x):
-    """Large-argument expansion with optimal truncation; needs x >= 12."""
-    x = np.asarray(x, dtype=float)
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, 40):
-        factor = -((2 * k - 1) ** 2) / (8.0 * k * x)
-        nxt = term * factor
-        if np.all(np.abs(nxt) >= np.abs(term)):
-            break
-        acc = acc + nxt
-        term = nxt
-        if np.all(np.abs(term) < 1e-18 * np.abs(acc)):
-            break
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * acc
-
-
 def bessel_k0(x):
-    """Modified Bessel function K0, relative error below 1e-10 on (0, inf).
+    """Modified Bessel function K0 (scipy.special.k0) for positive arguments.
 
-    Ascending series up to x = 6; the same series in extended precision on
-    (6, 12) where float64 cancellation dominates; asymptotic expansion above.
     Diverges logarithmically at 0, so x must be positive.
     """
     scalar = np.isscalar(x)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ParameterError("K0 requires a positive argument")
-    out = np.empty_like(arr)
-    small = arr <= 6.0
-    mid = (arr > 6.0) & (arr < 15.0)
-    large = arr >= 15.0
-    if np.any(small):
-        out[small] = _k0_series_float(arr[small])
-    if np.any(mid):
-        out[mid] = [_k0_series_mp(v) for v in arr[mid]]
-    if np.any(large):
-        out[large] = _k0_asymptotic(arr[large])
-    return float(out[0]) if scalar else out
+    out = special.k0(arr)
+    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ bit for bit, and instances are immutable, so paths can be shared and
 generated in parallel without coordination.
 """
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,6 +111,17 @@ def _check_grid_args(n, horizon):
         raise ParameterError("n must be at least 2")
     if horizon <= 0:
         raise ParameterError("horizon must be positive")
+
+
+def seed_split(master_seed, replica_index):
+    """Collision-resistant per-replica seed, stable across versions.
+
+    SHA-256 of the decimal rendering "master:replica", truncated to
+    63 bits.  Documented so results can be reproduced outside this
+    package.
+    """
+    digest = hashlib.sha256(f"{int(master_seed)}:{int(replica_index)}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def _rng(seed):

@@ -11,7 +11,6 @@ l(lambda) d lambda, so the variance equals the integral of the density.
 Everything here is a pure function of immutable inputs.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy import integrate, optimize, signal
 from .errors import ParameterError, QuadratureError
 from .increments import unit_scale_process
 from .mollifiers import classify, hurst_normalizer_sq
-from .paths import simulate_brownian
+from .paths import seed_split, simulate_brownian
 
 HEAD_CUTOFF = 64.0
 
@@ -48,13 +47,6 @@ class SpectralDensity:
 
     def tail_square_integral(self, cutoff):
         return self._tail_sq(cutoff)
-
-    def to_csv(self, path, lambdas):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "density"])
-            for lam in lambdas:
-                writer.writerow([repr(float(lam)), repr(float(self.eval(lam)))])
 
 
 def _atom_cosine_decomposition(kernel):
@@ -344,7 +336,7 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, dt=1.0 / 256, seed=0):
     draw = _unit_scale_sampler(kernel, horizon, dt)
     estimates = np.empty((replicas, len(lags)))
     for r in range(replicas):
-        y = draw(seed + r)
+        y = draw(seed_split(seed, r))
         v = y.values
         for j, lag in enumerate(lags):
             k = int(round(lag / y.dt))
@@ -356,14 +348,6 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, dt=1.0 / 256, seed=0):
         checks.append(LagCheck(lag=float(lag), estimate=float(col.mean()),
                                stderr=se, target=float(np.exp(-abs(lag)))))
     return OuMatchReport(kernel.kernel_id, replicas, horizon, checks)
-
-
-def covariance_to_csv(density, path, ts):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "covariance"])
-        for t in ts:
-            writer.writerow([repr(float(t)), repr(covariance_from_density(density, t))])
 
 
 def periodogram(values, dt, n_segments=32):

@@ -178,6 +178,21 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "kernel_id" in capsys.readouterr().err
 
+    def test_discrete_lag_rejects_log_schedule(self, tmp_path):
+        run(small_config("discrete-lag"), output_dir=tmp_path)
+        res = json.loads((tmp_path / "results.json").read_text())
+        check = [m for m in res["metrics"] if m["name"] == "log_schedule_rejected"][0]
+        assert check["pass"]
+
+    def test_stable_marginal_brownian_reference(self, tmp_path):
+        # 2000 replicas: enough power to see a reference that is sqrt(2) too wide.
+        cfg = small_config("stable-marginal", family="brownian", replicas=2000)
+        assert run(cfg, output_dir=tmp_path, strict=True) == 0
+        table = np.loadtxt(tmp_path / "marginal_samples.csv", delimiter=",",
+                           skiprows=1)
+        ratio = table[:, 1].var() / table[:, 0].var()
+        assert 0.85 < ratio < 1.15
+
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_byte_identical_across_runs_and_threads(self, tmp_path, name):
         outs = []

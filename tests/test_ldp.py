@@ -182,11 +182,6 @@ class TestEstimateCgf:
             estimate_cgf(OU, BROWNIAN, [constant_fn(0.0)], horizon=5.0,
                          replicas=4, seed=0)
 
-    def test_json_report(self, cgf, tmp_path):
-        payload = cgf.to_json(tmp_path / "cgf.json")
-        assert payload["replicas"] == 400
-        assert (tmp_path / "cgf.json").exists()
-
 
 class TestLegendreDual:
     def test_vanishes_at_limit_measure(self, dual):

@@ -244,32 +244,3 @@ class TestFixedLagSecondOrder:
         with pytest.raises(CoverageError):
             fixed_lag_second_order(w, 512, 0.5)
 
-
-class TestCsvExports:
-    def test_empirical_measure(self, tmp_path):
-        m = EmpiricalMeasure.from_samples(np.array([0.5, -1.0, 2.0]))
-        m.to_csv(tmp_path / "m.csv")
-        lines = (tmp_path / "m.csv").read_text().splitlines()
-        assert lines[0] == "value,weight"
-        assert len(lines) == 4
-
-    def test_space_time_histogram(self, tmp_path):
-        _, x = _wschebor_measure(2.0 ** -8, 0)
-        st = space_time_measure(x, 4, 8)
-        st.to_csv(tmp_path / "st.csv")
-        lines = (tmp_path / "st.csv").read_text().splitlines()
-        assert lines[0] == "t_bin,v_bin,mass"
-        assert len(lines) == 1 + 4 * 8
-
-    def test_rate_curve_and_density(self, tmp_path):
-        from wschebor.ldp import moment_rate
-        from wschebor.mollifiers import kernel_ou_exponential
-        from wschebor.spectral import covariance_to_csv, spectral_density
-        d = spectral_density(kernel_ou_exponential(), 0.5)
-        curve = moment_rate(d, [0.5, 1.0])
-        curve.to_csv(tmp_path / "rate.csv")
-        assert (tmp_path / "rate.csv").read_text().startswith("x,rate")
-        d.to_csv(tmp_path / "dens.csv", [0.0, 1.0, 2.0])
-        assert (tmp_path / "dens.csv").read_text().startswith("lambda,density")
-        covariance_to_csv(d, tmp_path / "cov.csv", [0.0, 1.0])
-        assert (tmp_path / "cov.csv").read_text().startswith("t,covariance")
