@@ -13,6 +13,7 @@ check under --strict, 3 internal error.
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,7 @@ from scipy import integrate, stats
 from . import discrete as dsc
 from . import ldp, levelproc, measures, mollifiers, spectral
 from .errors import ConfigError, WscheborError
-from .increments import dpsi_window, normalized_increment
+from .increments import MIN_EPS_OVER_DT, dpsi_window, normalized_increment
 from .mollifiers import bessel_k0, kernel_by_id
 from .paths import (ProcessDescriptor, seed_split, simulate, simulate_brownian,
                     standard_stable)
@@ -82,12 +83,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        known = set(cls.__dataclass_fields__)
-        extra = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError("config", "the top-level value must be a JSON object, "
+                                        f"not {type(data).__name__}")
+        fields = cls.__dataclass_fields__
+        extra = set(data) - set(fields)
         if extra:
             raise ConfigError(sorted(extra)[0], "unknown configuration field")
         if "experiment" not in data:
             raise ConfigError("experiment", "missing required field")
+        for name, value in data.items():
+            kind = fields[name].type
+            if not _fits(value, kind):
+                raise ConfigError(name, f"must be {_TYPE_NAMES[kind]}, got {value!r}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -98,9 +106,11 @@ class ExperimentConfig:
                               f"unknown experiment {self.experiment!r}; "
                               f"choose from {sorted(EXPERIMENTS)}")
         try:
-            kernel_by_id(self.kernel_id)
+            kernel = kernel_by_id(self.kernel_id)
         except WscheborError as exc:
             raise ConfigError("kernel_id", str(exc))
+        if self.experiment == "ou-match" and kernel.kernel_id not in ("ou-exp", "ou-bessel"):
+            raise ConfigError("kernel_id", "ou-match needs the ou-exp or ou-bessel kernel")
         if self.family not in ("brownian", "stable", "fbm"):
             raise ConfigError("family", f"unknown process family {self.family!r}")
         if not 0.0 < self.hurst < 1.0:
@@ -113,6 +123,15 @@ class ExperimentConfig:
             raise ConfigError("replicas", "must be at least 1")
         if self.grid_n < 8:
             raise ConfigError("grid_n", "must be at least 8")
+        if self.experiment == "wschebor-check":
+            # The check also runs at epsilon/4, which must span the minimum
+            # number of steps of the source grid that _occupation_ks builds.
+            fine = self.epsilon / 4.0
+            lo, hi, n = _occupation_grid(kernel, fine, self.grid_n)
+            if fine < MIN_EPS_OVER_DT * ((hi - lo) / (n - 1)):
+                raise ConfigError("grid_n", f"epsilon/4 = {fine:g} is below "
+                                            f"{MIN_EPS_OVER_DT:g} steps of a 1/{self.grid_n} "
+                                            "grid; raise grid_n or epsilon")
         if self.threads < 1:
             raise ConfigError("threads", "must be at least 1")
         self._parse_lag()
@@ -160,6 +179,19 @@ class ExperimentConfig:
         return float(self.tolerances.get(name, default))
 
 
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object of finite numbers"}
+
+
+def _fits(value, kind):
+    """Whether a JSON value fits a config field of type `kind`."""
+    if kind is dict:
+        return isinstance(value, dict) and all(_fits(v, float) for v in value.values())
+    if kind is float:
+        return _fits(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def metric(name, value, tolerance, passed=None):
     value = float(value)
     tolerance = float(tolerance)
@@ -176,10 +208,15 @@ def _phi(x):
     return stats.norm.cdf(x)
 
 
-def _occupation_ks(kernel, eps, seed, grid_n):
+def _occupation_grid(kernel, eps, grid_n):
+    """Source interval and node count of one occupation measure on [0, 1]."""
     lo, hi = dpsi_window(kernel, eps, (0.0, 1.0))
     dt = 1.0 / grid_n
-    n = int(round((hi - lo) / dt)) + 1
+    return lo, hi, int(round((hi - lo) / dt)) + 1
+
+
+def _occupation_ks(kernel, eps, seed, grid_n):
+    lo, hi, n = _occupation_grid(kernel, eps, grid_n)
     src = simulate_brownian(n, hi - lo, seed, t_start=lo)
     inc = normalized_increment(src, kernel, eps, window=(0.0, 1.0))
     mu = measures.occupation_measure(inc.values)
@@ -246,8 +283,6 @@ def run_spectral_tables(config):
             "covariance of the unit-scale process against the OU law, with kernel checks")
 def run_ou_match(config):
     kernel = kernel_by_id(config.kernel_id)
-    if kernel.kernel_id not in ("ou-exp", "ou-bessel"):
-        raise ConfigError("kernel_id", "ou-match needs the ou-exp or ou-bessel kernel")
     report = spectral.verify_ou_match(kernel, [0.0, 1.0, 2.0],
                                       replicas=config.replicas,
                                       horizon=config.horizon, seed=config.seed)
@@ -518,26 +553,23 @@ def main(argv=None):
     if args.command == "list":
         print(list_experiments(as_json=args.json))
         return 0
+    overrides = {"seed": args.seed, "replicas": args.replicas, "threads": args.threads}
     try:
         with open(args.config) as fh:
             payload = json.load(fh)
-        if args.seed is not None:
-            payload["seed"] = args.seed
-        if args.replicas is not None:
-            payload["replicas"] = args.replicas
-        if args.threads is not None:
-            payload["threads"] = args.threads
+        if isinstance(payload, dict):
+            payload.update((k, v) for k, v in overrides.items() if v is not None)
         config = ExperimentConfig.from_dict(payload)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and JSON decoding are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
         return run(config, output_dir=args.output, strict=args.strict)
     except WscheborError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # exit code 3, never a traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -5,7 +5,10 @@ Kolmogorov-Smirnov statistics are exact at sample resolution; space-time
 content is binned.  The bounded-Lipschitz metric is not exactly
 computable, so it is reported as a certified lower bound (a maximum over
 an explicit dictionary of test functions of unit BL norm) paired with a
-1-Wasserstein upper bound.
+1-Wasserstein upper bound.  Both come from one sort of the pooled support
+with signed weights: the W1 bound and the piecewise-linear test functions
+(hats and clipped ramps) are integrated exactly from the signed prefix
+sums, without evaluating them point by point.
 
 Measures are immutable after construction and merging is associative and
 commutative, so Monte Carlo replicas can be combined in any order.
@@ -277,14 +280,27 @@ def ks_critical_value(n_a, n_b=None, alpha=0.01):
     return float(c * np.sqrt((n_a + n_b) / (n_a * n_b)))
 
 
+def _signed_support(mu, nu):
+    """Pooled support of mu and nu, sorted once, with signed weights.
+
+    Returns (x, s): the points in stable order and their weights, positive
+    for mu and negative for nu, so that cumsum(s) is the CDF difference.
+    """
+    x = np.concatenate([mu.points, nu.points])
+    s = np.concatenate([mu.weights, -nu.weights])
+    order = np.argsort(x, kind="stable")
+    return x[order], s[order]
+
+
+def _w1_sorted(x, c0):
+    """W1 from the sorted pooled support and the running CDF difference."""
+    return float(np.dot(np.abs(c0[:-1]), np.diff(x)))
+
+
 def wasserstein1(mu, nu):
     """Exact 1-Wasserstein distance between two probability measures on R."""
-    grid = np.concatenate([mu.points, nu.points])
-    grid.sort(kind="stable")
-    if grid.size < 2:
-        return 0.0
-    diffs = np.abs(mu.cdf(grid[:-1]) - nu.cdf(grid[:-1]))
-    return float(np.sum(diffs * np.diff(grid)))
+    x, s = _signed_support(mu, nu)
+    return _w1_sorted(x, np.cumsum(s))
 
 
 @dataclass(frozen=True)
@@ -296,46 +312,67 @@ class BLBound:
     witness: str
 
 
-def _bl_dictionary(knots, widths):
-    """Test functions of BL norm at most 1: hats, tanh bumps, clipped ramps."""
-    fns = []
-    for c in knots:
-        for w in widths:
-            s = 1.0 / (1.0 + w)
-            fns.append((f"hat({c:.4g},{w:.4g})",
-                        lambda x, c=c, w=w, s=s: s * np.clip(w - np.abs(x - c), 0.0, None)))
-            fns.append((f"ramp({c:.4g},{w:.4g})",
-                        lambda x, c=c, w=w: np.clip((x - c) / w, -1.0, 1.0) * w / (w + 1.0)))
-            fns.append((f"tanh({c:.4g},{w:.4g})",
-                        lambda x, c=c, w=w: np.tanh((x - c) / w) * w / (w + 1.0)))
-    return fns
+def _pooled_knots(x, s, dictionary_size):
+    """Pooled quantiles of the sorted signed support and their midpoints."""
+    pooled = np.abs(s)
+    cum = np.cumsum(pooled / pooled.sum())
+    qs = np.linspace(0.0, 1.0, dictionary_size + 2)[1:-1]
+    knots = np.unique(x[np.searchsorted(cum, qs * cum[-1], side="left").clip(0, x.size - 1)])
+    mids = 0.5 * (knots[1:] + knots[:-1]) if knots.size > 1 else np.array([])
+    return np.unique(np.concatenate([knots, mids]))
 
 
 def dbl_distance(mu, nu, dictionary_size=8):
     """Bounded-Lipschitz distance, reported as (lower bound, upper bound).
 
     The lower bound maximizes |int f dmu - int f dnu| over a dictionary of
-    functions with BL norm <= 1 anchored at pooled quantiles; the upper
-    bound is min(W1, 2).
+    functions with BL norm <= 1 anchored at pooled quantiles: for every
+    knot c and width w, in this order, a hat s*(w - |x - c|)_+ with
+    s = 1/(1 + w), a clipped ramp clip((x - c)/w, -1, 1)*w/(w + 1) and a
+    tanh bump tanh((x - c)/w)*w/(w + 1); the first largest gap is the
+    witness.  Hats and ramps are piecewise linear, so their integrals
+    against mu - nu are exact from the signed prefix sums sum(s) and
+    sum(s*x) at their breakpoints; each tanh bump takes one pass over the
+    signed pooled weights.  The upper bound is min(W1, 2).
     """
     for m in (mu, nu):
         if not m.is_probability(tol=1e-6):
             raise ParameterError("bounded-Lipschitz distance needs probability measures")
-    pooled = mu.merge(nu).normalized()
-    qs = np.linspace(0.0, 1.0, dictionary_size + 2)[1:-1]
-    cum = np.cumsum(pooled.weights)
-    knots = np.unique(pooled.points[np.searchsorted(cum, qs * cum[-1], side="left").clip(0, pooled.points.size - 1)])
-    mids = 0.5 * (knots[1:] + knots[:-1]) if knots.size > 1 else np.array([])
-    knots = np.unique(np.concatenate([knots, mids]))
-    spread = max(float(np.ptp(pooled.points)), 1e-12)
-    widths = spread * np.array([0.25, 0.5, 1.0, 2.0])
-    best, witness = 0.0, "zero"
-    for name, fn in _bl_dictionary(knots, widths):
-        gap = abs(mu.integrate(fn) - nu.integrate(fn))
-        if gap > best:
-            best, witness = gap, name
-    upper = min(wasserstein1(mu, nu), 2.0)
-    return BLBound(lower=min(best, upper), upper=upper, witness=witness)
+    x, s = _signed_support(mu, nu)
+    # Prefix sums with a leading zero: c0[i] = sum(s[:i]), c1[i] = sum(s[:i]*x[:i]).
+    c0, c1, buf = np.zeros(x.size + 1), np.zeros(x.size + 1), np.empty_like(x)
+    np.cumsum(s, out=c0[1:])
+    upper = min(_w1_sorted(x, c0[1:]), 2.0)
+    if upper == 0.0:
+        # mu and nu agree on every interval, hence on every test function.
+        return BLBound(lower=0.0, upper=0.0, witness="zero")
+    np.cumsum(np.multiply(s, x, out=buf), out=c1[1:])
+    knots = _pooled_knots(x, s, dictionary_size)
+    widths = max(float(x[-1] - x[0]), 1e-12) * np.array([0.25, 0.5, 1.0, 2.0])
+    c, w = knots[:, None], widths[None, :]
+    g = w / (w + 1.0)
+    lo, hi = np.searchsorted(x, c - w), np.searchsorted(x, c + w)
+    mid = np.searchsorted(x, knots)[:, None]
+
+    def seg(i, j, alpha, beta):
+        """Exact integral of alpha + beta*x against s over x[i:j]."""
+        return alpha * (c0[j] - c0[i]) + beta * (c1[j] - c1[i])
+
+    hat = (seg(lo, mid, w - c, 1.0) + seg(mid, hi, w + c, -1.0)) / (1.0 + w)
+    ramp = g * (seg(lo, hi, -c / w, 1.0 / w) - c0[lo] + (c0[-1] - c0[hi]))
+    bump = np.empty_like(ramp)
+    for k, j in np.ndindex(bump.shape):
+        np.subtract(x, knots[k], out=buf)
+        np.divide(buf, widths[j], out=buf)
+        np.tanh(buf, out=buf)
+        bump[k, j] = g[0, j] * np.dot(buf, s)
+
+    gaps = np.abs(np.stack([hat, ramp, bump], axis=-1)).ravel()
+    best = int(np.argmax(gaps))
+    k, j, kind = np.unravel_index(best, (knots.size, widths.size, 3))
+    witness = (f"{('hat', 'ramp', 'tanh')[kind]}({knots[k]:.4g},{widths[j]:.4g})"
+               if gaps[best] > 0.0 else "zero")
+    return BLBound(lower=min(float(gaps[best]), upper), upper=upper, witness=witness)
 
 
 # ---------------------------------------------------------------------------

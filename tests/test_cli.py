@@ -96,6 +96,73 @@ class TestConfig:
         assert err.value.field == "lag_kind"
 
 
+# (payload, extra argv, text stderr must hold, exit code)
+MALFORMED = {
+    "top-level-list": ([1, 2], [], "JSON object", 1),
+    "top-level-list-with-override": ([1, 2], ["--seed", "3"], "JSON object", 1),
+    "replicas-string": ({"experiment": "moment-rate", "replicas": "abc"}, [],
+                        "replicas:", 1),
+    "replicas-bool": ({"experiment": "moment-rate", "replicas": True}, [],
+                      "replicas:", 1),
+    "replicas-float": ({"experiment": "moment-rate", "replicas": 2.5}, [],
+                       "replicas:", 1),
+    "seed-string": ({"experiment": "moment-rate", "seed": "7"}, [], "seed:", 1),
+    "alpha-string": ({"experiment": "moment-rate", "alpha": "x"}, [], "alpha:", 1),
+    "lag-kind-number": ({"experiment": "moment-rate", "lag_kind": 3}, [],
+                        "lag_kind:", 1),
+    "epsilon-nan": ({"experiment": "moment-rate", "epsilon": float("nan")}, [],
+                    "epsilon:", 1),
+    "epsilon-inf": ({"experiment": "moment-rate", "epsilon": float("inf")}, [],
+                    "epsilon:", 1),
+    "horizon-minus-inf": ({"experiment": "moment-rate", "horizon": -float("inf")}, [],
+                          "horizon:", 1),
+    "tolerances-list": ({"experiment": "moment-rate", "tolerances": [1]}, [],
+                        "tolerances:", 1),
+    "tolerances-string-value": ({"experiment": "moment-rate",
+                                 "tolerances": {"closed_form_error": "x"}}, [],
+                                "tolerances:", 1),
+    "tolerances-nan-value": ({"experiment": "moment-rate",
+                              "tolerances": {"closed_form_error": float("nan")}}, [],
+                             "tolerances:", 1),
+    "ou-match-default-kernel": ({"experiment": "ou-match"}, [], "kernel_id:", 1),
+    "wschebor-check-coarse-grid": ({"experiment": "wschebor-check", "grid_n": 8}, [],
+                                   "grid_n:", 1),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_config(self, case, tmp_path, capsys):
+        payload, extra, named, code = MALFORMED[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        argv = ["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]
+        assert main(argv + extra) == code
+        err = capsys.readouterr().err
+        assert named in err
+        assert len(err.splitlines()) == 1
+
+    def test_valid_edges_still_accepted(self):
+        ExperimentConfig.from_dict({"experiment": "moment-rate", "epsilon": 1,
+                                    "tolerances": {"closed_form_error": 1}})
+        ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-bessel"})
+        # epsilon/4 is 4 steps of a 1/256 grid, the coarsest that admits it
+        ExperimentConfig.from_dict({"experiment": "wschebor-check",
+                                    "epsilon": 2.0 ** -4, "grid_n": 2 ** 8})
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def boom(config):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(EXPERIMENTS, "moment-rate", (boom, "raises"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "moment-rate"}))
+        argv = ["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and "boom" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestListing:
     def test_seven_experiments(self):
         lines = list_experiments().splitlines()

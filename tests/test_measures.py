@@ -214,6 +214,87 @@ class TestBoundedLipschitz:
                                 EmpiricalMeasure.point_mass(0.7)) - 0.7) < 1e-15
 
 
+def _reference_dbl(mu, nu, dictionary_size=8):
+    """Point-evaluation BL bound: each dictionary function integrated per measure."""
+    pooled = mu.merge(nu).normalized()
+    qs = np.linspace(0.0, 1.0, dictionary_size + 2)[1:-1]
+    cum = np.cumsum(pooled.weights)
+    idx = np.searchsorted(cum, qs * cum[-1], side="left").clip(0, pooled.points.size - 1)
+    knots = np.unique(pooled.points[idx])
+    knots = np.unique(np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1])]))
+    widths = max(float(np.ptp(pooled.points)), 1e-12) * np.array([0.25, 0.5, 1.0, 2.0])
+    best, witness = 0.0, "zero"
+    for c in knots:
+        for w in widths:
+            for name, fn in (
+                    ("hat", lambda x: np.clip(w - np.abs(x - c), 0.0, None) / (1.0 + w)),
+                    ("ramp", lambda x: np.clip((x - c) / w, -1.0, 1.0) * w / (w + 1.0)),
+                    ("tanh", lambda x: np.tanh((x - c) / w) * w / (w + 1.0))):
+                gap = abs(mu.integrate(fn) - nu.integrate(fn))
+                if gap > best:
+                    best, witness = gap, f"{name}({c:.4g},{w:.4g})"
+    return best, witness
+
+
+def _reference_w1(mu, nu):
+    """W1 as the integral of |F_mu - F_nu| over the pooled CDF grid."""
+    grid = np.sort(np.concatenate([mu.points, nu.points]))
+    return float(np.sum(np.abs(mu.cdf(grid[:-1]) - nu.cdf(grid[:-1])) * np.diff(grid)))
+
+
+def _random_pair(seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(1, 300, size=2)
+    wa, wb = rng.random(a) + 0.1, rng.random(b) + 0.1
+    return (EmpiricalMeasure(rng.standard_normal(a), wa / wa.sum()),
+            EmpiricalMeasure(rng.standard_t(3, b) + 0.2, wb / wb.sum()))
+
+
+def _rounded_pair(seed):
+    rng = np.random.default_rng(seed)
+    return (EmpiricalMeasure.from_samples(np.round(rng.standard_normal(150), 1)),
+            EmpiricalMeasure.from_samples(np.round(rng.standard_normal(90) * 1.2, 1)))
+
+
+def _point_masses(h):
+    return EmpiricalMeasure.point_mass(0.0), EmpiricalMeasure.point_mass(h)
+
+
+def _same(seed):
+    samples = np.random.default_rng(seed).standard_normal(120)
+    return (EmpiricalMeasure.from_samples(samples),
+            EmpiricalMeasure.from_samples(samples[::-1]))
+
+
+def _coupled(seed):
+    from wschebor.discrete import coupled_pair
+    return coupled_pair(2 ** 16, 40, seed)
+
+
+ORACLE_CASES = (
+    [pytest.param(_random_pair, s, 1e-12, id=f"random-{s}") for s in range(12)]
+    + [pytest.param(_rounded_pair, s, 1e-12, id=f"rounded-{s}") for s in range(6)]
+    + [pytest.param(_point_masses, h, 1e-12, id=f"point-masses-{h}")
+       for h in (1e-3, 0.1, 0.5, 3.0)]
+    + [pytest.param(_same, 4, 0.0, id="same")]
+    + [pytest.param(_coupled, 5, 1e-9, id="coupled-2^16")]
+)
+
+
+class TestBoundedLipschitzOracle:
+    @pytest.mark.parametrize("make, arg, rel", ORACLE_CASES)
+    def test_matches_point_evaluation(self, make, arg, rel):
+        mu, nu = make(arg)
+        lower, witness = _reference_dbl(mu, nu)
+        w1 = _reference_w1(mu, nu)
+        for a, b in ((mu, nu), (nu, mu)):
+            bound = dbl_distance(a, b)
+            assert bound.witness == witness
+            assert abs(bound.lower - min(lower, w1, 2.0)) <= rel * lower
+            assert abs(bound.upper - min(w1, 2.0)) <= rel * w1
+            assert abs(wasserstein1(a, b) - w1) <= rel * w1
+
+
 class TestFixedLagSecondOrder:
     def test_normalizer(self):
         assert abs(second_difference_sd(0.5) ** 2 - 2.0) < 1e-12
