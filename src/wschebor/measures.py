@@ -23,7 +23,14 @@ from .errors import CoverageError, ParameterError, ResolutionError
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted point masses on the real line, sorted by location."""
+    """Weighted point masses on the real line, sorted by location.
+
+    Points are sorted with numpy's default (unstable, vectorized) argsort.
+    Distinct points have exactly one sorting permutation, so the result is
+    the same as a stable sort's; when the sorted points hold a tie (or a
+    NaN, which compares unequal to itself) the sort is redone stably, so
+    tied points always keep their input order together with their weights.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -36,8 +43,12 @@ class EmpiricalMeasure:
             raise ParameterError("points and weights must be 1-d arrays of equal length")
         if np.any(wts < 0):
             raise ParameterError("weights must be nonnegative")
-        order = np.argsort(pts, kind="stable")
-        pts = pts[order]
+        order = np.argsort(pts)
+        srt = pts[order]
+        if srt.size and (np.any(srt[1:] == srt[:-1]) or np.isnan(srt[-1])):
+            order = np.argsort(pts, kind="stable")
+            srt = pts[order]
+        pts = srt
         wts = wts[order]
         pts.setflags(write=False)
         wts.setflags(write=False)
@@ -251,11 +262,14 @@ def ks_distance(mu, target_cdf):
     """Exact sup distance between the measure's CDF and a target CDF.
 
     Valid for discontinuous targets too: left limits of the target are
-    probed just below each support point.
+    probed just below each support point.  Relies on `mu.points` being
+    sorted, as every EmpiricalMeasure's are: tied points are pooled by
+    summing the weights of each run of equal values.
     """
     if not mu.is_probability(tol=1e-6):
         raise ParameterError("Kolmogorov-Smirnov needs a probability measure")
-    points, first = np.unique(mu.points, return_index=True)
+    first = np.flatnonzero(np.concatenate(([True], mu.points[1:] != mu.points[:-1])))
+    points = mu.points[first]
     weights = np.add.reduceat(mu.weights, first)
     cum = np.cumsum(weights)
     cum_prev = np.concatenate(([0.0], cum[:-1]))

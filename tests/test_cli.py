@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from wschebor import discrete
 from wschebor.cli import (
     EXPERIMENTS,
     ExperimentConfig,
+    _occupation_ks,
     list_experiments,
     main,
     run,
@@ -13,6 +17,8 @@ from wschebor.cli import (
     seed_split,
 )
 from wschebor.errors import ConfigError
+from wschebor.measures import ks_critical_value
+from wschebor.mollifiers import kernel_by_id
 
 FAST_CONFIGS = {
     "wschebor-check": {"grid_n": 2 ** 13, "replicas": 2, "epsilon": 2.0 ** -7},
@@ -244,6 +250,64 @@ class TestRun:
                                         "kernel_id": "bad"}))
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "kernel_id" in capsys.readouterr().err
+
+    def test_occupation_csv_matches_per_value_formatting(self, tmp_path):
+        cfg = small_config("wschebor-check")
+        run(cfg, output_dir=tmp_path)
+        _, mu = _occupation_ks(kernel_by_id(cfg.kernel_id), cfg.epsilon,
+                               seed_split(cfg.seed, 0), cfg.grid_n)
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([("value", "weight")] + [
+            (repr(float(v)), repr(float(w))) for v, w in zip(mu.points, mu.weights)])
+        with open(tmp_path / "occupation_first_replica.csv", newline="") as fh:
+            assert fh.read() == expected.getvalue()
+
+    def test_wschebor_check_non_dyadic_grid(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "wschebor-check", "grid_n": 1000,
+                                        "epsilon": 0.125, "replicas": 2}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 0
+
+    def test_no_valid_wschebor_check_config_exits_3(self, tmp_path, capsys):
+        ran = 0
+        for kernel in ("psi1", "ou-exp", "triangle"):
+            for grid_n in (8, 16, 40, 64, 100, 256, 1000):
+                for k in range(10):
+                    body = {"experiment": "wschebor-check", "kernel_id": kernel,
+                            "grid_n": grid_n, "epsilon": 2.0 ** -k, "replicas": 1}
+                    try:
+                        ExperimentConfig.from_dict(body)
+                    except ConfigError:
+                        continue
+                    cfg_path = tmp_path / "cfg.json"
+                    cfg_path.write_text(json.dumps(body))
+                    code = main(["run", "--config", str(cfg_path),
+                                 "--output", str(tmp_path / "out")])
+                    assert code == 0, (body, capsys.readouterr().err)
+                    ran += 1
+        assert ran == 60
+
+    def test_discrete_lag_tolerance_from_effective_sample(self, tmp_path):
+        # Windows of lag r overlap, so about n / r of the n windows are independent.
+        n, r = 2 ** 13, int(2 ** (13 * 0.6))
+        for seed in range(10):
+            run(small_config("discrete-lag", seed=seed, replicas=1), output_dir=tmp_path)
+            res = json.loads((tmp_path / "results.json").read_text())
+            for m in res["metrics"]:
+                if m["name"].startswith("ks_to_phi_"):
+                    assert m["tolerance"] == ks_critical_value(n / r, alpha=0.05)
+                    assert m["pass"], (seed, m)
+
+    def test_discrete_lag_uncentred_uniform_fails(self, tmp_path, monkeypatch):
+        def uncentred(n_total, seed):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            return rng.random(n_total) * np.sqrt(12.0)
+        monkeypatch.setattr(discrete, "uniform_innovations", uncentred)
+        run(small_config("discrete-lag", replicas=1), output_dir=tmp_path)
+        res = json.loads((tmp_path / "results.json").read_text())
+        check = [m for m in res["metrics"] if m["name"] == "ks_to_phi_uniform"][0]
+        assert not check["pass"]
 
     def test_discrete_lag_rejects_log_schedule(self, tmp_path):
         run(small_config("discrete-lag"), output_dir=tmp_path)

@@ -60,6 +60,19 @@ class TestEmpiricalMeasure:
         with pytest.raises(ParameterError):
             EmpiricalMeasure(np.array([0.0]), np.array([-1.0]))
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_sorted_like_stable_argsort(self, tied):
+        rng = np.random.default_rng(3)
+        raw = rng.standard_normal(5000)
+        if tied:
+            raw = np.round(raw, 1)
+            raw[:40] = np.tile([0.0, -0.0], 20)
+        wts = rng.random(raw.size)
+        m = EmpiricalMeasure(raw, wts)
+        order = np.argsort(raw, kind="stable")
+        assert np.array_equal(m.points.view(np.int64), raw[order].view(np.int64))
+        assert np.array_equal(m.weights.view(np.int64), wts[order].view(np.int64))
+
 
 class TestOccupation:
     def test_constant_path_is_point_mass(self):
@@ -109,6 +122,20 @@ class TestKolmogorovSmirnov:
         m = EmpiricalMeasure(np.array([0.0]), np.array([2.0]))
         with pytest.raises(ParameterError):
             ks_distance(m, PHI)
+
+    def test_tied_measure_matches_unique_reduction(self):
+        rng = np.random.default_rng(5)
+        wts = rng.random(20000)
+        m = EmpiricalMeasure(np.round(rng.standard_normal(20000), 2), wts / wts.sum())
+        # The reduction by np.unique that ks_distance used before it relied
+        # on the points being sorted.
+        points, first = np.unique(m.points, return_index=True)
+        cum = np.cumsum(np.add.reduceat(m.weights, first))
+        cum_prev = np.concatenate(([0.0], cum[:-1]))
+        reference = float(np.max(np.maximum(
+            np.abs(cum - PHI(points)),
+            np.abs(cum_prev - PHI(np.nextafter(points, -np.inf))))))
+        assert ks_distance(m, PHI) == reference
 
 
 class TestSpaceTime:
