@@ -14,8 +14,11 @@ import argparse
 import csv
 import json
 import math
+import os
+import shutil
 import sys
 import time
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -124,6 +127,18 @@ class ExperimentConfig:
             raise ConfigError("replicas", "must be at least 1")
         if self.grid_n < 8:
             raise ConfigError("grid_n", "must be at least 8")
+        if self.experiment in ("wschebor-check", "stable-marginal") \
+                and not kernel.has_derivative_measure:
+            raise ConfigError("kernel_id", f"{self.experiment} needs a kernel with a "
+                                           f"derivative measure; {kernel.kernel_id!r} has none")
+        if self.experiment in ("spectral-tables", "moment-rate") and self.hurst > 0.5 \
+                and spectral.unbounded_at_zero(kernel, self.hurst):
+            raise ConfigError("hurst", f"the spectral density of {kernel.kernel_id!r} is "
+                                       f"unbounded at 0 for hurst {self.hurst:g}; "
+                                       "use hurst <= 0.5 or a kernel in its class G_H")
+        if self.experiment == "discrete-lag" and self.n_discrete < 2 ** 8:
+            raise ConfigError("n_discrete", "must be at least 256, so that the coupling "
+                                            "check can compare against n_discrete // 16")
         if self.experiment == "wschebor-check":
             # The check also runs at epsilon/4, which must span the minimum
             # number of steps of the source grid that _occupation_ks builds.
@@ -429,8 +444,9 @@ def run_discrete_lag(config):
                           passed=not (rep3.check("log-bracket").passed
                                       or rep3.check("sqrt-divergence").passed)))
     pairs = min(config.replicas, 20)
+    sizes = (n // 16, n)
     meds = []
-    for nn in (2 ** 14, n):
+    for nn in sizes:
         vals = []
         for i in range(pairs):
             m_a, mu_a = dsc.coupled_pair(nn, int(schedule.r(nn)),
@@ -441,7 +457,7 @@ def run_discrete_lag(config):
                           passed=bool(meds[1] <= meds[0])))
     tables = {
         "coupling.csv": [("n", "median_bl_lower_bound")] + [
-            (repr(float(nn)), repr(m)) for nn, m in zip((2 ** 14, n), meds)],
+            (repr(float(nn)), repr(m)) for nn, m in zip(sizes, meds)],
     }
     return metrics, tables
 
@@ -491,10 +507,15 @@ def run_stable_marginal(config):
 def run(config, output_dir=None, strict=False):
     """Execute one experiment; write results.json and CSV tables.
 
+    The files are written into a temporary sibling of the output directory
+    and moved into place only once all of them are complete, so a run that
+    fails leaves no output behind.  A new output directory is renamed into
+    place whole; into an existing one each file is moved, replacing the
+    file of the same name, and nothing else in it is touched.
+
     Returns the exit status (0 ok, 2 failed metric under strict).
     """
     out = Path(output_dir or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     fn, _ = EXPERIMENTS[config.experiment]
     started = time.time()
     metrics, tables = fn(config)
@@ -504,6 +525,25 @@ def run(config, output_dir=None, strict=False):
         "parameters": config.to_dict(),
         "metrics": metrics,
     }
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.parent / f".{out.name}.{uuid.uuid4().hex}.tmp"
+    tmp.mkdir()
+    try:
+        _write_outputs(tmp, results, elapsed, tables)
+        if out.exists():
+            for path in tmp.iterdir():
+                os.replace(path, out / path.name)
+            tmp.rmdir()
+        else:
+            os.rename(tmp, out)
+    finally:
+        if tmp.exists():
+            shutil.rmtree(tmp)
+    ok = all(m["pass"] for m in metrics)
+    return 0 if (ok or not strict) else 2
+
+
+def _write_outputs(out, results, elapsed, tables):
     with open(out / "results.json", "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -519,8 +559,6 @@ def run(config, output_dir=None, strict=False):
         with open(out / name, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows(rows)
-    ok = all(m["pass"] for m in metrics)
-    return 0 if (ok or not strict) else 2
 
 
 def list_experiments(as_json=False):

@@ -6,9 +6,9 @@ content is binned.  The bounded-Lipschitz metric is not exactly
 computable, so it is reported as a certified lower bound (a maximum over
 an explicit dictionary of test functions of unit BL norm) paired with a
 1-Wasserstein upper bound.  Both come from one sort of the pooled support
-with signed weights: the W1 bound and the piecewise-linear test functions
-(hats and clipped ramps) are integrated exactly from the signed prefix
-sums, without evaluating them point by point.
+with signed weights: the W1 bound and every test function of the
+dictionary, all hats and clipped ramps, are integrated exactly from the
+signed prefix sums, without evaluating them point by point.
 
 Measures are immutable after construction and merging is associative and
 commutative, so Monte Carlo replicas can be combined in any order.
@@ -342,25 +342,23 @@ def dbl_distance(mu, nu, dictionary_size=8):
     The lower bound maximizes |int f dmu - int f dnu| over a dictionary of
     functions with BL norm <= 1 anchored at pooled quantiles: for every
     knot c and width w, in this order, a hat s*(w - |x - c|)_+ with
-    s = 1/(1 + w), a clipped ramp clip((x - c)/w, -1, 1)*w/(w + 1) and a
-    tanh bump tanh((x - c)/w)*w/(w + 1); the first largest gap is the
-    witness.  Hats and ramps are piecewise linear, so their integrals
-    against mu - nu are exact from the signed prefix sums sum(s) and
-    sum(s*x) at their breakpoints; each tanh bump takes one pass over the
-    signed pooled weights.  The upper bound is min(W1, 2).
+    s = 1/(1 + w) and a clipped ramp clip((x - c)/w, -1, 1)*w/(w + 1); the
+    first largest gap is the witness.  Both are piecewise linear, so their
+    integrals against mu - nu are exact from the signed prefix sums sum(s)
+    and sum(s*x) at their breakpoints.  The upper bound is min(W1, 2).
     """
     for m in (mu, nu):
         if not m.is_probability(tol=1e-6):
             raise ParameterError("bounded-Lipschitz distance needs probability measures")
     x, s = _signed_support(mu, nu)
     # Prefix sums with a leading zero: c0[i] = sum(s[:i]), c1[i] = sum(s[:i]*x[:i]).
-    c0, c1, buf = np.zeros(x.size + 1), np.zeros(x.size + 1), np.empty_like(x)
+    c0, c1 = np.zeros(x.size + 1), np.zeros(x.size + 1)
     np.cumsum(s, out=c0[1:])
     upper = min(_w1_sorted(x, c0[1:]), 2.0)
     if upper == 0.0:
         # mu and nu agree on every interval, hence on every test function.
         return BLBound(lower=0.0, upper=0.0, witness="zero")
-    np.cumsum(np.multiply(s, x, out=buf), out=c1[1:])
+    np.cumsum(s * x, out=c1[1:])
     knots = _pooled_knots(x, s, dictionary_size)
     widths = max(float(x[-1] - x[0]), 1e-12) * np.array([0.25, 0.5, 1.0, 2.0])
     c, w = knots[:, None], widths[None, :]
@@ -374,17 +372,10 @@ def dbl_distance(mu, nu, dictionary_size=8):
 
     hat = (seg(lo, mid, w - c, 1.0) + seg(mid, hi, w + c, -1.0)) / (1.0 + w)
     ramp = g * (seg(lo, hi, -c / w, 1.0 / w) - c0[lo] + (c0[-1] - c0[hi]))
-    bump = np.empty_like(ramp)
-    for k, j in np.ndindex(bump.shape):
-        np.subtract(x, knots[k], out=buf)
-        np.divide(buf, widths[j], out=buf)
-        np.tanh(buf, out=buf)
-        bump[k, j] = g[0, j] * np.dot(buf, s)
-
-    gaps = np.abs(np.stack([hat, ramp, bump], axis=-1)).ravel()
+    gaps = np.abs(np.stack([hat, ramp], axis=-1)).ravel()
     best = int(np.argmax(gaps))
-    k, j, kind = np.unravel_index(best, (knots.size, widths.size, 3))
-    witness = (f"{('hat', 'ramp', 'tanh')[kind]}({knots[k]:.4g},{widths[j]:.4g})"
+    k, j, kind = np.unravel_index(best, (knots.size, widths.size, 2))
+    witness = (f"{('hat', 'ramp')[kind]}({knots[k]:.4g},{widths[j]:.4g})"
                if gaps[best] > 0.0 else "zero")
     return BLBound(lower=min(float(gaps[best]), upper), upper=upper, witness=witness)
 

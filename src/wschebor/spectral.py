@@ -70,18 +70,8 @@ def _power_cos_tail(b, t, expo):
     return val
 
 
-def spectral_density(kernel, hurst, classify_report=None):
-    """Spectral density of the unit-scale increment process of the kernel.
-
-    The supremum is located by a coarse log/linear scan refined with
-    bounded scalar minimization.  For H > 1/2 a kernel outside the
-    admissible low-frequency class yields a density unbounded at 0; the
-    sup is then reported as +inf and the density flagged discontinuous.
-    """
-    if not 0.0 < hurst < 1.0:
-        raise ParameterError("hurst must lie in (0, 1)")
-    if kernel.fourier_abs2 is None:
-        raise ParameterError(f"kernel {kernel.kernel_id!r} has no |psi_hat|^2 evaluator")
+def _density_fn(kernel, hurst):
+    """Vectorized l(lambda) of the kernel at Hurst index `hurst`."""
     c2 = hurst_normalizer_sq(hurst)
     abs2 = kernel.fourier_abs2
     expo = 1.0 - 2.0 * hurst
@@ -104,20 +94,39 @@ def spectral_density(kernel, hurst, classify_report=None):
         probe = abs2(1e-9) * (1e-9) ** expo / c2
         return probe
 
-    # Continuity at 0 and finiteness of the sup.
-    continuous = True
-    sup_inf = False
-    if hurst > 0.5:
-        report = classify_report or classify(kernel, [hurst])
-        member = report.in_G_H.get(hurst)
-        if member is False:
-            continuous = False
-            sup_inf = True
-        elif member is None:
-            lo, hi = density(np.array([1e-12]))[0], density(np.array([1e-6]))[0]
-            if lo > 10.0 * hi:
-                continuous = False
-                sup_inf = True
+    return density
+
+
+def unbounded_at_zero(kernel, hurst, classify_report=None):
+    """Whether the kernel's spectral density at `hurst` is unbounded at 0.
+
+    Only H > 1/2 can blow up, and does so for a kernel outside the
+    admissible low-frequency class; an inconclusive classification is
+    settled by comparing the density at 1e-12 with its value at 1e-6.
+    """
+    if hurst <= 0.5:
+        return False
+    member = (classify_report or classify(kernel, [hurst])).in_G_H.get(hurst)
+    if member is None:
+        density = _density_fn(kernel, hurst)
+        return bool(density(np.array([1e-12]))[0] > 10.0 * density(np.array([1e-6]))[0])
+    return member is False
+
+
+def spectral_density(kernel, hurst, classify_report=None):
+    """Spectral density of the unit-scale increment process of the kernel.
+
+    The supremum is located by a coarse log/linear scan refined with
+    bounded scalar minimization.  When `unbounded_at_zero` holds, the sup
+    is reported as +inf and the density flagged discontinuous at 0.
+    """
+    if not 0.0 < hurst < 1.0:
+        raise ParameterError("hurst must lie in (0, 1)")
+    if kernel.fourier_abs2 is None:
+        raise ParameterError(f"kernel {kernel.kernel_id!r} has no |psi_hat|^2 evaluator")
+    c2 = hurst_normalizer_sq(hurst)
+    density = _density_fn(kernel, hurst)
+    sup_inf = unbounded_at_zero(kernel, hurst, classify_report)
 
     scan = np.unique(np.concatenate([
         np.linspace(1e-9, 20.0, 4001),
@@ -191,7 +200,7 @@ def spectral_density(kernel, hurst, classify_report=None):
         eval=density,
         sup_value=sup_val,
         sup_location=sup_loc,
-        continuous_at_zero=continuous,
+        continuous_at_zero=not sup_inf,
         kernel_id=kernel.kernel_id,
         hurst=hurst,
         variance=variance,

@@ -133,6 +133,18 @@ MALFORMED = {
     "ou-match-default-kernel": ({"experiment": "ou-match"}, [], "kernel_id:", 1),
     "wschebor-check-coarse-grid": ({"experiment": "wschebor-check", "grid_n": 8}, [],
                                    "grid_n:", 1),
+    "spectral-tables-unbounded-fbm-ou": ({"experiment": "spectral-tables",
+                                          "kernel_id": "fbm-ou:H=0.4", "hurst": 0.7}, [],
+                                         "hurst:", 1),
+    "spectral-tables-unbounded-psi1": ({"experiment": "spectral-tables",
+                                        "kernel_id": "psi1", "hurst": 0.7}, [], "hurst:", 1),
+    "moment-rate-unbounded-ou-exp": ({"experiment": "moment-rate",
+                                      "kernel_id": "ou-exp", "hurst": 0.7}, [], "hurst:", 1),
+    "stable-marginal-no-derivative-measure": ({"experiment": "stable-marginal",
+                                               "kernel_id": "fbm-ou:H=0.4"}, [],
+                                              "kernel_id:", 1),
+    "discrete-lag-small-n": ({"experiment": "discrete-lag", "n_discrete": 255}, [],
+                             "n_discrete:", 1),
 }
 
 
@@ -147,6 +159,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_valid_edges_still_accepted(self):
         ExperimentConfig.from_dict({"experiment": "moment-rate", "epsilon": 1,
@@ -155,6 +168,12 @@ class TestExitCodes:
         # epsilon/4 is 4 steps of a 1/256 grid, the coarsest that admits it
         ExperimentConfig.from_dict({"experiment": "wschebor-check",
                                     "epsilon": 2.0 ** -4, "grid_n": 2 ** 8})
+        # psi2's density is bounded at hurst 0.7; no density blows up at hurst <= 1/2
+        ExperimentConfig.from_dict({"experiment": "moment-rate", "kernel_id": "psi2",
+                                    "hurst": 0.7})
+        ExperimentConfig.from_dict({"experiment": "spectral-tables", "kernel_id": "psi1",
+                                    "hurst": 0.4})
+        ExperimentConfig.from_dict({"experiment": "discrete-lag", "n_discrete": 2 ** 8})
 
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(config):
@@ -167,6 +186,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("internal error: ") and "boom" in err
         assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
+        def unwritable(config):
+            return [], {"a.csv": [("x",), (1,)], "b.json": {"x": object()}}
+        monkeypatch.setitem(EXPERIMENTS, "moment-rate", (unwritable, "bad table"))
+        with pytest.raises(TypeError):
+            run(small_config("moment-rate"), output_dir=tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_existing_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run(small_config("moment-rate"), output_dir=out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def unwritable(config):
+            return [], {"rate_curve.csv": [("x",), (1,)], "b.json": {"x": object()}}
+        monkeypatch.setitem(EXPERIMENTS, "moment-rate", (unwritable, "bad table"))
+        with pytest.raises(TypeError):
+            run(small_config("moment-rate"), output_dir=out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_rerun_replaces_files_and_keeps_others(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / "results.json").write_text("stale")
+        assert run(small_config("moment-rate"), output_dir=out) == 0
+        assert (out / "notes.txt").read_text() == "kept"
+        assert json.loads((out / "results.json").read_text())["experiment"] == "moment-rate"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestListing:
@@ -308,6 +359,22 @@ class TestRun:
         res = json.loads((tmp_path / "results.json").read_text())
         check = [m for m in res["metrics"] if m["name"] == "ks_to_phi_uniform"][0]
         assert not check["pass"]
+
+    def _coupling_check(self, tmp_path, **overrides):
+        run(small_config("discrete-lag", **overrides), output_dir=tmp_path)
+        res = json.loads((tmp_path / "results.json").read_text())
+        return [m for m in res["metrics"] if m["name"] == "coupling_median_decreases"][0]
+
+    def test_discrete_lag_coupling_compares_sixteenth_size(self, tmp_path):
+        # At n_discrete = 2^14 the check used to compare the median with itself.
+        check = self._coupling_check(tmp_path, n_discrete=2 ** 14)
+        assert check["value"] != check["tolerance"]
+        rows = (tmp_path / "coupling.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["1024.0", "16384.0"]
+
+    def test_discrete_lag_coupling_passes_below_2_14(self, tmp_path):
+        # Below 2^14 the check used to demand that the distance grow with n.
+        assert self._coupling_check(tmp_path, n_discrete=2 ** 13, replicas=3)["pass"]
 
     def test_discrete_lag_rejects_log_schedule(self, tmp_path):
         run(small_config("discrete-lag"), output_dir=tmp_path)

@@ -298,6 +298,13 @@ def _coupled(seed):
     return coupled_pair(2 ** 16, 40, seed)
 
 
+def _coupled_at_schedule(n_and_seed):
+    """A coupled pair at the lag discrete-lag uses, r = int(n ** 0.6)."""
+    from wschebor.discrete import coupled_pair
+    n, seed = n_and_seed
+    return coupled_pair(n, int(n ** 0.6), seed)
+
+
 ORACLE_CASES = (
     [pytest.param(_random_pair, s, 1e-12, id=f"random-{s}") for s in range(12)]
     + [pytest.param(_rounded_pair, s, 1e-12, id=f"rounded-{s}") for s in range(6)]
@@ -305,12 +312,16 @@ ORACLE_CASES = (
        for h in (1e-3, 0.1, 0.5, 3.0)]
     + [pytest.param(_same, 4, 0.0, id="same")]
     + [pytest.param(_coupled, 5, 1e-9, id="coupled-2^16")]
+    + [pytest.param(_coupled_at_schedule, (2 ** k, s), 1e-9, id=f"coupled-2^{k}-{s}")
+       for k in (12, 13) for s in range(4)]
 )
 
 
 class TestBoundedLipschitzOracle:
     @pytest.mark.parametrize("make, arg, rel", ORACLE_CASES)
     def test_matches_point_evaluation(self, make, arg, rel):
+        # The oracle's dictionary also holds tanh bumps, which dbl_distance
+        # leaves out: an equal bound and witness show that nothing is lost.
         mu, nu = make(arg)
         lower, witness = _reference_dbl(mu, nu)
         w1 = _reference_w1(mu, nu)
