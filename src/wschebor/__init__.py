@@ -50,7 +50,6 @@ from .increments import (
     dot_increment,
     dpsi_window,
     normalized_increment,
-    smooth,
     unit_scale_process,
 )
 from .measures import (
@@ -59,19 +58,16 @@ from .measures import (
     SpaceTimeHistogram,
     dbl_distance,
     f_map,
-    fixed_lag_second_order,
     ks_critical_value,
     ks_distance,
     ks_two_sample,
     occupation_measure,
-    second_difference_sd,
     space_time_measure,
     wasserstein1,
 )
 from .spectral import (
     SpectralDensity,
     covariance_from_density,
-    periodogram,
     sigma_sq,
     spectral_density,
     verify_ou_match,

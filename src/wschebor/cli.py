@@ -73,8 +73,6 @@ class ExperimentConfig:
     seed: int = 0
     grid_n: int = 2 ** 18
     horizon: float = 50.0
-    time_bins: int = 8
-    value_bins: int = 32
     t_count: int = 2 ** 14
     s_count: int = 33
     n_discrete: int = 2 ** 18
@@ -136,6 +134,14 @@ class ExperimentConfig:
             raise ConfigError("hurst", f"the spectral density of {kernel.kernel_id!r} is "
                                        f"unbounded at 0 for hurst {self.hurst:g}; "
                                        "use hurst <= 0.5 or a kernel in its class G_H")
+        if self.experiment == "ou-match" and self.horizon <= max(OU_LAGS):
+            raise ConfigError("horizon", "must exceed the largest checked lag, "
+                                         f"{max(OU_LAGS):g}")
+        if self.experiment == "level-process":
+            if self.s_count < 2:
+                raise ConfigError("s_count", "must be at least 2")
+            if self.t_count < 1:
+                raise ConfigError("t_count", "must be at least 1")
         if self.experiment == "discrete-lag" and self.n_discrete < 2 ** 8:
             raise ConfigError("n_discrete", "must be at least 256, so that the coupling "
                                             "check can compare against n_discrete // 16")
@@ -292,18 +298,21 @@ def run_spectral_tables(config):
     ]
     tables = {
         "density.csv": [("lambda", "density")] + [
-            (repr(float(l)), repr(float(dens.eval(np.array([l]))[0]))) for l in lambdas],
+            (repr(float(l)), repr(dens.eval(l))) for l in lambdas],
         "covariance.csv": [("t", "covariance")] + [
             (repr(float(t)), repr(spectral.covariance_from_density(dens, t))) for t in ts],
     }
     return metrics, tables
 
 
+OU_LAGS = (0.0, 1.0, 2.0)
+
+
 @experiment("ou-match",
             "covariance of the unit-scale process against the OU law, with kernel checks")
 def run_ou_match(config):
     kernel = kernel_by_id(config.kernel_id)
-    report = spectral.verify_ou_match(kernel, [0.0, 1.0, 2.0],
+    report = spectral.verify_ou_match(kernel, OU_LAGS,
                                       replicas=config.replicas,
                                       horizon=config.horizon, seed=config.seed)
     metrics = []

@@ -98,14 +98,6 @@ def discrete_measure(xs, r, meta=None):
     return EmpiricalMeasure.from_samples(v, m)
 
 
-def discrete_measure_naive(xs, r):
-    """Quadratic-time reference for the sliding-window values."""
-    xs = np.asarray(xs, dtype=float)
-    n = xs.size - int(r)
-    vals = [float(np.sum(xs[k:k + r]) / np.sqrt(r)) for k in range(1, n + 1)]
-    return EmpiricalMeasure.from_samples(np.array(vals))
-
-
 def gaussian_innovations(n_total, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.standard_normal(n_total)
@@ -115,12 +107,6 @@ def uniform_innovations(n_total, seed):
     """Centered uniform innovations scaled to unit variance."""
     rng = np.random.Generator(np.random.PCG64(seed))
     return (rng.random(n_total) - 0.5) * np.sqrt(12.0)
-
-
-def exponential_innovations(n_total, seed):
-    """Centered unit-variance exponential innovations (all moments finite)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.exponential(1.0, n_total) - 1.0
 
 
 # ---------------------------------------------------------------------------

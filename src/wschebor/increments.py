@@ -1,4 +1,4 @@
-"""Smoothed processes and normalized small-increment processes.
+"""Normalized small-increment processes.
 
 The central operator is the Stieltjes convolution of a path against the
 derivative measure of a kernel,
@@ -39,13 +39,6 @@ class IncrementProcess:
 def dpsi_window(kernel, epsilon, window):
     """Source interval needed to evaluate the increment process on `window`."""
     a, b = kernel.dpsi_hull()
-    w0, w1 = window
-    return (w0 - epsilon * b, w1 - epsilon * a)
-
-
-def smooth_window(kernel, epsilon, window):
-    """Source interval needed to evaluate the smoothed process on `window`."""
-    a, b = kernel.support
     w0, w1 = window
     return (w0 - epsilon * b, w1 - epsilon * a)
 
@@ -149,35 +142,6 @@ def _dpsi_stencil(kernel, epsilon, dt):
         for uj, wj in zip(u, w / epsilon):
             st.add(-epsilon * uj / dt, wj)
     return st
-
-
-def _psi_stencil(kernel, epsilon, dt):
-    st = _Stencil()
-    a, b = kernel.support
-    # Jumps of psi itself sit at the interior atom locations of dpsi;
-    # kinks follow the density breakpoints.
-    breaks = tuple(loc for loc, _ in kernel.atoms if a < loc < b) \
-        + tuple(kernel.density_breakpoints)
-    u, w = _trapezoid_pieces(kernel.psi, a, b, breaks, dt / epsilon)
-    for uj, wj in zip(u, w):
-        st.add(-epsilon * uj / dt, wj)
-    return st
-
-
-def smooth(source, kernel, epsilon, window=(0.0, 1.0)):
-    """Mollification X * psi_eps evaluated on `window`.
-
-    Trapezoidal quadrature of int psi(u) X(t - eps*u) du on a kernel grid
-    aligned with the path resolution.
-    """
-    _guard_resolution(kernel, epsilon, source.dt)
-    if not np.isfinite(kernel.support[0]) or not np.isfinite(kernel.support[1]):
-        raise ParameterError(f"kernel {kernel.kernel_id!r} has no finite smoothing support")
-    i0, i1 = _output_slice(source, window, smooth_window(kernel, epsilon, window))
-    st = _psi_stencil(kernel, epsilon, source.dt)
-    out = st.apply(source.values, i0, i1)
-    meta = dict(source.meta, kernel=kernel.kernel_id, epsilon=epsilon, transform="smooth")
-    return GridPath(source.t_start + i0 * source.dt, source.dt, out, meta)
 
 
 def dot_increment(source, kernel, epsilon, window=(0.0, 1.0)):

@@ -301,7 +301,7 @@ def log_moment_generating(density, y, head_cutoff=64.0):
     c = 4.0 * np.pi * y
 
     def integrand(s):
-        return np.log1p(-c * density.eval(np.array([s]))[0])
+        return np.log1p(-c * density.eval(s))
 
     head, _ = integrate.quad(integrand, 0.0, head_cutoff, limit=800, points=[0.0])
     # log1p(-c*l) = -c*l - (c*l)^2/2 - O((c*l)^3) on the tiny tail values.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, ParameterError, ResolutionError
+from .errors import CoverageError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,6 @@ class EmpiricalMeasure:
 
     def mean(self):
         return float(np.dot(self.points, self.weights) / self.total_mass)
-
-    def moment(self, p):
-        return float(np.dot(np.abs(self.points) ** p, self.weights) / self.total_mass)
-
-    def variance(self):
-        mu = self.mean()
-        return float(np.dot((self.points - mu) ** 2, self.weights) / self.total_mass)
 
     def integrate(self, fn):
         return float(np.dot(np.asarray(fn(self.points), dtype=float), self.weights))
@@ -188,15 +181,6 @@ class SpaceTimeHistogram:
     def second_marginal(self):
         centers = 0.5 * (self.value_edges[1:] + self.value_edges[:-1])
         return EmpiricalMeasure(centers, self.mass.sum(axis=0))
-
-    def row_profile(self, k):
-        """Value distribution inside time bin k, normalized to mass 1."""
-        centers = 0.5 * (self.value_edges[1:] + self.value_edges[:-1])
-        row = self.mass[k]
-        total = row.sum()
-        if total <= 0:
-            raise ParameterError(f"time bin {k} carries no mass")
-        return EmpiricalMeasure(centers, row / total)
 
     def row_ks(self, k, target_cdf):
         """KS distance of a row profile to a target CDF, evaluated at the
@@ -378,38 +362,3 @@ def dbl_distance(mu, nu, dictionary_size=8):
     witness = (f"{('hat', 'ramp')[kind]}({knots[k]:.4g},{widths[j]:.4g})"
                if gaps[best] > 0.0 else "zero")
     return BLBound(lower=min(float(gaps[best]), upper), upper=upper, witness=witness)
-
-
-# ---------------------------------------------------------------------------
-# Fixed-lag second-order increment measures
-# ---------------------------------------------------------------------------
-
-def second_difference_sd(hurst):
-    """Standard deviation of the unit-grid second difference of fBm."""
-    return float(np.sqrt(4.0 - 2.0 ** (2.0 * hurst)))
-
-
-def fixed_lag_second_order(path, n, hurst):
-    """Empirical measure of normalized second differences on the grid i/n.
-
-    Point masses at n^H (B((i+2)/n) - 2 B((i+1)/n) + B(i/n)) / sigma for
-    i = 0..n-2, each of weight 1/(n-1); sigma is the exact standard
-    deviation of the unit-grid second difference.
-    """
-    if n < 4:
-        raise ResolutionError("need n >= 4 grid points per unit time")
-    stride = (1.0 / n) / path.dt
-    stride_i = int(round(stride))
-    if abs(stride - stride_i) > 1e-9 or stride_i < 1:
-        raise CoverageError("path grid is not aligned with the i/n sampling grid")
-    base = path.node_index(0.0)
-    if base is None or path.t_end < 1.0 - 1e-9:
-        raise CoverageError("path must cover [0, 1] with a node at 0")
-    idx = base + stride_i * np.arange(n + 1)
-    if idx[-1] >= len(path):
-        raise CoverageError("path does not reach time 1")
-    b = path.values[idx]
-    second = b[2:] - 2.0 * b[1:-1] + b[:-2]
-    scaled = n ** hurst * second / second_difference_sd(hurst)
-    meta = {"seed": _path_seed(path), "kind": "second-order", "n": n}
-    return EmpiricalMeasure.from_samples(scaled, meta)

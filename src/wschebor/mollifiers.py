@@ -77,8 +77,6 @@ class SignedKernel:
         decomposition is a faithful derivative).
     integrable : bool
         Whether psi is in L1.
-    derivative_id : str or None
-        Kernel id of psi' when the derivative is itself a named kernel.
     """
 
     kernel_id: str
@@ -92,7 +90,6 @@ class SignedKernel:
     fourier_abs2: object = None
     bounded_variation: bool = True
     integrable: bool = True
-    derivative_id: str = None
     _norm_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- signed measure d psi -------------------------------------------------
@@ -115,24 +112,6 @@ class SignedKernel:
             raise ParameterError(f"kernel {self.kernel_id!r} carries no derivative measure")
         return min(los), max(his)
 
-    def dpsi_total_mass(self):
-        total = sum(w for _, w in self.atoms)
-        if self.density is not None:
-            val, _ = integrate.quad(self.density, *self.density_support, limit=200,
-                                    points=list(self.density_breakpoints) or None)
-            total += val
-        return total
-
-    def dpsi_fourier(self, lam):
-        """int e^{i lam s} d psi(s), atoms exactly and density by quadrature."""
-        total = sum(w * np.exp(1j * lam * loc) for loc, w in self.atoms)
-        if self.density is not None:
-            a, b = self.density_support
-            re, _ = integrate.quad(lambda s: self.density(s) * np.cos(lam * s), a, b, limit=400)
-            im, _ = integrate.quad(lambda s: self.density(s) * np.sin(lam * s), a, b, limit=400)
-            total += re + 1j * im
-        return total
-
     # -- norms ----------------------------------------------------------------
 
     def norm(self, p):
@@ -150,37 +129,6 @@ class SignedKernel:
     def _quad_breakpoints(self, a, b):
         pts = [p for p in (-1.0, 0.0, 1.0) if a < p < b]
         return pts or None
-
-    # -- rescaling ------------------------------------------------------------
-
-    def rescaled(self, eps):
-        """Mass-preserving rescaling psi(t/eps)/eps with its derivative measure."""
-        if eps <= 0:
-            raise ParameterError("rescaling requires eps > 0")
-        base = self
-        new_density = None
-        new_density_support = None
-        if base.density is not None:
-            new_density = lambda t: base.density(t / eps) / eps ** 2
-            new_density_support = (base.density_support[0] * eps, base.density_support[1] * eps)
-        return SignedKernel(
-            kernel_id=f"{base.kernel_id}@eps={eps:g}",
-            psi=lambda t: base.psi(np.asarray(t) / eps) / eps,
-            support=(base.support[0] * eps, base.support[1] * eps),
-            atoms=tuple((loc * eps, w / eps) for loc, w in base.atoms),
-            density=new_density,
-            density_support=new_density_support,
-            density_breakpoints=tuple(p * eps for p in base.density_breakpoints),
-            fourier_fn=(lambda lam: base.fourier_fn(lam * eps)) if base.fourier_fn else None,
-            fourier_abs2=(lambda lam: base.fourier_abs2(lam * eps)) if base.fourier_abs2 else None,
-            bounded_variation=base.bounded_variation,
-            integrable=base.integrable,
-        )
-
-    def derivative_kernel(self):
-        if self.derivative_id is None:
-            raise ParameterError(f"kernel {self.kernel_id!r} has no named derivative")
-        return kernel_by_id(self.derivative_id)
 
 
 def fourier(kernel, lam, rtol=1e-9):
@@ -303,7 +251,6 @@ def kernel_triangle():
         density_breakpoints=(0.0,),
         fourier_fn=ft,
         fourier_abs2=ft_abs2,
-        derivative_id="psi2",
     )
 
 
@@ -465,10 +412,6 @@ def kernel_by_id(kernel_id):
             raise ParameterError(f"malformed kernel id {kernel_id!r}")
         return kernel_fbm_ou(h)
     raise ParameterError(f"unknown kernel id {kernel_id!r}")
-
-
-def known_kernel_ids():
-    return sorted(_FACTORIES) + ["fbm-ou:H=<h>"]
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,20 @@ def fbm_covariance(s, t, hurst):
 
 
 def _fgn_autocovariance(m, hurst):
-    k = np.arange(m, dtype=float)
+    """rho(k) = (|k+1|^{2H} + |k-1|^{2H} - 2 k^{2H}) / 2 for k = 0..m-1.
+
+    Written as k^{2H} (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))) / 2
+    for k >= 2, and as 2^{2H-1} - 1 = expm1((2H-1) log 2) at k = 1, so the
+    large powers of k never cancel against each other.
+    """
     h2 = 2.0 * hurst
-    return 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2.0 * k ** h2)
+    rho = np.empty(m)
+    rho[0] = 1.0
+    rho[1:2] = np.expm1((h2 - 1.0) * np.log(2.0))
+    k = np.arange(2, m, dtype=float)
+    rho[2:] = 0.5 * k ** h2 * (np.expm1(h2 * np.log1p(1.0 / k))
+                               + np.expm1(h2 * np.log1p(-1.0 / k)))
+    return rho
 
 
 def _circulant_eigenvalues(m, hurst):
@@ -190,42 +201,33 @@ def _circulant_eigenvalues(m, hurst):
 def fgn_batch(m, hurst, rng, replicas=1):
     """Unit-grid fractional Gaussian noise, shape (replicas, m).
 
-    Circulant embedding of the increment covariance (Davies-Harte); falls
-    back to a dense factorization of the covariance when the embedding is
-    not nonnegative definite.
+    Circulant embedding of the increment covariance (Davies-Harte).  The
+    embedding is nonnegative definite for every H (Craigmile 2003), so
+    eigenvalues down to -1e-10 of the largest are roundoff and clipped to
+    0; anything more negative raises SynthesisError.
     """
     if not 0.0 < hurst < 1.0:
         raise ParameterError("hurst must lie in (0, 1)")
     if hurst == 0.5 or m == 1:
         return rng.standard_normal((replicas, m))
     eig = _circulant_eigenvalues(m, hurst)
-    if np.min(eig) >= -1e-10 * np.max(eig):
-        eig = np.clip(eig, 0.0, None)
-        mm = 2 * (m - 1)
-        # Hermitian-symmetric complex Gaussian spectrum in rfft layout;
-        # endpoints are real, interior bins are complex of unit variance.
-        n_freq = eig.size
-        a = rng.standard_normal((replicas, n_freq))
-        b = rng.standard_normal((replicas, n_freq))
-        spec = np.empty((replicas, n_freq), dtype=complex)
-        spec[:, 0] = a[:, 0]
-        spec[:, -1] = a[:, -1]
-        spec[:, 1:-1] = (a[:, 1:-1] + 1j * b[:, 1:-1]) / np.sqrt(2.0)
-        out = np.fft.irfft(np.sqrt(eig) * spec, n=mm, axis=1)
-        return out[:, :m] * np.sqrt(mm)
-    # Exact fallback: dense covariance factorization of the fGn block.
-    rho = _fgn_autocovariance(m, hurst)
-    idx = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-    cov = rho[idx]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov)
-        if np.min(w) < -1e-8:
-            raise SynthesisError("increment covariance is not nonnegative definite")
-        chol = v * np.sqrt(np.clip(w, 0.0, None))
-    z = rng.standard_normal((replicas, m))
-    return z @ chol.T
+    if np.min(eig) < -1e-10 * np.max(eig):
+        raise SynthesisError(
+            f"circulant embedding is not nonnegative definite: smallest/largest "
+            f"eigenvalue {np.min(eig) / np.max(eig):.2e} at m={m}, hurst={hurst:g}")
+    eig = np.clip(eig, 0.0, None)
+    mm = 2 * (m - 1)
+    # Hermitian-symmetric complex Gaussian spectrum in rfft layout;
+    # endpoints are real, interior bins are complex of unit variance.
+    n_freq = eig.size
+    a = rng.standard_normal((replicas, n_freq))
+    b = rng.standard_normal((replicas, n_freq))
+    spec = np.empty((replicas, n_freq), dtype=complex)
+    spec[:, 0] = a[:, 0]
+    spec[:, -1] = a[:, -1]
+    spec[:, 1:-1] = (a[:, 1:-1] + 1j * b[:, 1:-1]) / np.sqrt(2.0)
+    out = np.fft.irfft(np.sqrt(eig) * spec, n=mm, axis=1)
+    return out[:, :m] * np.sqrt(mm)
 
 
 def simulate_fbm(hurst, n, horizon, seed, t_start=0.0):
@@ -239,18 +241,6 @@ def simulate_fbm(hurst, n, horizon, seed, t_start=0.0):
     values = np.concatenate(([0.0], np.cumsum(fgn))) * dt ** hurst
     meta = {"descriptor": ProcessDescriptor(FBM, hurst=hurst, seed=seed)}
     return GridPath(t_start, dt, values, meta)
-
-
-def fbm_batch(hurst, n, horizon, seed, replicas, t_start=0.0):
-    """Stack of independent fBm paths, shape (replicas, n); one seed drives all."""
-    if not 0.0 < hurst < 1.0:
-        raise ParameterError("hurst must lie in (0, 1)")
-    _check_grid_args(n, horizon)
-    dt = horizon / (n - 1)
-    rng = _rng(seed)
-    fgn = fgn_batch(n - 1, hurst, rng, replicas=replicas)
-    paths = np.concatenate([np.zeros((replicas, 1)), np.cumsum(fgn, axis=1)], axis=1)
-    return paths * dt ** hurst
 
 
 def simulate(descriptor, n, horizon, seed, t_start=0.0):

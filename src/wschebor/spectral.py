@@ -39,9 +39,6 @@ class SpectralDensity:
     _cos_tail: object = None    # (B, t) -> int_B^inf cos(t l) l(l) dl
     _tail_sq: object = None     # B -> int_B^inf l^2
 
-    def __call__(self, lam):
-        return self.eval(lam)
-
     def tail_integral(self, cutoff):
         return self._tail(cutoff)
 
@@ -71,7 +68,7 @@ def _power_cos_tail(b, t, expo):
 
 
 def _density_fn(kernel, hurst):
-    """Vectorized l(lambda) of the kernel at Hurst index `hurst`."""
+    """l(lambda) of the kernel at Hurst index `hurst`, for a float or an array."""
     c2 = hurst_normalizer_sq(hurst)
     abs2 = kernel.fourier_abs2
     expo = 1.0 - 2.0 * hurst
@@ -109,7 +106,7 @@ def unbounded_at_zero(kernel, hurst, classify_report=None):
     member = (classify_report or classify(kernel, [hurst])).in_G_H.get(hurst)
     if member is None:
         density = _density_fn(kernel, hurst)
-        return bool(density(np.array([1e-12]))[0] > 10.0 * density(np.array([1e-6]))[0])
+        return bool(density(1e-12) > 10.0 * density(1e-6))
     return member is False
 
 
@@ -136,11 +133,11 @@ def spectral_density(kernel, hurst, classify_report=None):
     k = int(np.argmax(dens_scan))
     lo = scan[max(k - 1, 0)]
     hi = scan[min(k + 1, scan.size - 1)]
-    res = optimize.minimize_scalar(lambda l: -density(np.array([l]))[0],
+    res = optimize.minimize_scalar(lambda l: -density(l),
                                    bounds=(lo, hi), method="bounded",
                                    options={"xatol": 1e-12})
     sup_loc = float(res.x)
-    sup_val = float(density(np.array([sup_loc]))[0])
+    sup_val = density(sup_loc)
     if sup_inf:
         sup_val = np.inf
         sup_loc = 0.0
@@ -177,23 +174,20 @@ def spectral_density(kernel, hurst, classify_report=None):
             return total / c2 ** 2
     else:
         def tail(b):
-            val, _ = integrate.quad(lambda l: density(np.array([l]))[0], b, np.inf, limit=400)
+            val, _ = integrate.quad(density, b, np.inf, limit=400)
             return val
 
         def cos_tail(b, t):
             if t == 0.0:
                 return tail(b)
-            val, _ = integrate.quad(lambda l: density(np.array([l]))[0], b, np.inf,
-                                    weight="cos", wvar=t, limit=800)
+            val, _ = integrate.quad(density, b, np.inf, weight="cos", wvar=t, limit=800)
             return val
 
         def tail_sq(b):
-            val, _ = integrate.quad(lambda l: density(np.array([l]))[0] ** 2, b, np.inf,
-                                    limit=400)
+            val, _ = integrate.quad(lambda l: density(l) ** 2, b, np.inf, limit=400)
             return val
 
-    head, _ = integrate.quad(lambda l: density(np.array([l]))[0],
-                             0.0, HEAD_CUTOFF, limit=800, points=[0.0])
+    head, _ = integrate.quad(density, 0.0, HEAD_CUTOFF, limit=800, points=[0.0])
     variance = 2.0 * (head + tail(HEAD_CUTOFF)) if np.isfinite(sup_val) else np.inf
 
     return SpectralDensity(
@@ -217,8 +211,8 @@ def covariance_from_density(density, t):
     t = abs(float(t))
     if t == 0.0:
         return density.variance
-    head, err = integrate.quad(lambda l: density.eval(np.array([l]))[0],
-                               0.0, HEAD_CUTOFF, weight="cos", wvar=t, limit=1600)
+    head, err = integrate.quad(density.eval, 0.0, HEAD_CUTOFF, weight="cos", wvar=t,
+                               limit=1600)
     if err > 1e-6:
         raise QuadratureError(f"covariance head quadrature error {err:.2e}")
     return 2.0 * (head + density._cos_tail(HEAD_CUTOFF, t))
@@ -278,10 +272,6 @@ class OuMatchReport:
     replicas: int
     horizon: float
     checks: list
-
-    @property
-    def max_deviation(self):
-        return max((c.deviation for c in self.checks), default=0.0)
 
     def within(self, n_se=4.0):
         return all(c.deviation <= n_se * c.stderr for c in self.checks)
@@ -357,28 +347,3 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, dt=1.0 / 256, seed=0):
         checks.append(LagCheck(lag=float(lag), estimate=float(col.mean()),
                                stderr=se, target=float(np.exp(-abs(lag)))))
     return OuMatchReport(kernel.kernel_id, replicas, horizon, checks)
-
-
-def periodogram(values, dt, n_segments=32):
-    """Averaged tapered periodogram in the variance = integral convention.
-
-    Splits the series into segments, applies a Hann taper and averages
-    |FFT|^2, normalized so the result estimates the spectral density with
-    r(t) = int e^{i t lambda} l(lambda) d lambda.
-    """
-    values = np.asarray(values, dtype=float)
-    seg_len = values.size // n_segments
-    if seg_len < 8:
-        raise ParameterError("segments too short for a periodogram")
-    taper = np.hanning(seg_len)
-    norm = np.sum(taper ** 2)
-    acc = None
-    for s in range(n_segments):
-        seg = values[s * seg_len:(s + 1) * seg_len]
-        spec = np.abs(np.fft.rfft(seg * taper)) ** 2
-        acc = spec if acc is None else acc + spec
-    acc /= n_segments
-    # E|FFT|^2 ~ (norm / dt) * 2 pi * l(lambda) in this convention.
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(seg_len, d=dt)
-    dens = acc * dt / (2.0 * np.pi * norm)
-    return freqs, dens

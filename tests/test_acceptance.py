@@ -54,8 +54,8 @@ from wschebor.mollifiers import (
     kernel_psi2,
 )
 from wschebor.paths import (
-    fbm_batch,
     fbm_covariance,
+    fgn_batch,
     simulate_brownian,
     simulate_stable,
     standard_stable,
@@ -315,7 +315,8 @@ def test_13_fbm_generator():
     ts = np.arange(1, 9) / 8.0
     worst = 0.0
     for hurst in (0.3, 0.7):
-        paths = fbm_batch(hurst, 9, 1.0, 99, replicas)[:, 1:]
+        fgn = fgn_batch(8, hurst, np.random.Generator(np.random.PCG64(99)), replicas)
+        paths = np.cumsum(fgn, axis=1) * (1.0 / 8.0) ** hurst
         emp = paths.T @ paths / replicas
         theo = fbm_covariance(ts[:, None], ts[None, :], hurst)
         se = np.sqrt((np.outer(np.diag(theo), np.diag(theo)) + theo ** 2) / replicas)

@@ -145,6 +145,22 @@ MALFORMED = {
                                               "kernel_id:", 1),
     "discrete-lag-small-n": ({"experiment": "discrete-lag", "n_discrete": 255}, [],
                              "n_discrete:", 1),
+    "ou-match-horizon-below-lag": ({"experiment": "ou-match", "kernel_id": "ou-exp",
+                                    "horizon": 0.5}, [], "horizon:", 1),
+    "ou-match-horizon-at-lag": ({"experiment": "ou-match", "kernel_id": "ou-exp",
+                                 "horizon": 2}, [], "horizon:", 1),
+    "ou-match-horizon-zero": ({"experiment": "ou-match", "kernel_id": "ou-exp",
+                               "horizon": 0}, [], "horizon:", 1),
+    "ou-match-horizon-negative": ({"experiment": "ou-match", "kernel_id": "ou-bessel",
+                                   "horizon": -1}, [], "horizon:", 1),
+    "level-process-one-s": ({"experiment": "level-process", "s_count": 1}, [],
+                            "s_count:", 1),
+    "level-process-no-t": ({"experiment": "level-process", "t_count": 0}, [],
+                           "t_count:", 1),
+    "removed-time-bins": ({"experiment": "moment-rate", "time_bins": 8}, [],
+                          "time_bins:", 1),
+    "removed-value-bins": ({"experiment": "moment-rate", "value_bins": 32}, [],
+                           "value_bins:", 1),
 }
 
 
@@ -174,6 +190,14 @@ class TestExitCodes:
         ExperimentConfig.from_dict({"experiment": "spectral-tables", "kernel_id": "psi1",
                                     "hurst": 0.4})
         ExperimentConfig.from_dict({"experiment": "discrete-lag", "n_discrete": 2 ** 8})
+        # horizon only has to exceed the largest checked lag, 2
+        ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-exp",
+                                    "horizon": 2.0 + 2.0 ** -8})
+        ExperimentConfig.from_dict({"experiment": "level-process", "s_count": 2,
+                                    "t_count": 1})
+        # the bounds above bind only the experiments that read the field
+        ExperimentConfig.from_dict({"experiment": "moment-rate", "horizon": 0.5,
+                                    "s_count": 1, "t_count": 0})
 
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(config):

@@ -7,8 +7,6 @@ from wschebor.discrete import (
     coupling_distance,
     custom_schedule,
     discrete_measure,
-    discrete_measure_naive,
-    exponential_innovations,
     gaussian_innovations,
     over_log_schedule,
     power_schedule,
@@ -17,10 +15,18 @@ from wschebor.discrete import (
     validate_lln_schedule,
 )
 from wschebor.errors import ParameterError, SeedMismatchError
-from wschebor.measures import ks_distance
+from wschebor.measures import EmpiricalMeasure, ks_distance
 from wschebor.paths import simulate_brownian
 
 PHI = stats.norm.cdf
+
+
+def discrete_measure_naive(xs, r):
+    """Quadratic-time reference for the sliding-window values."""
+    xs = np.asarray(xs, dtype=float)
+    n = xs.size - int(r)
+    vals = [float(np.sum(xs[k:k + r]) / np.sqrt(r)) for k in range(1, n + 1)]
+    return EmpiricalMeasure.from_samples(np.array(vals))
 
 
 class TestDiscreteMeasure:
@@ -51,7 +57,7 @@ class TestDiscreteMeasure:
         assert ks_distance(m, PHI) <= 0.05
 
     def test_innovation_moments(self):
-        for gen in (gaussian_innovations, uniform_innovations, exponential_innovations):
+        for gen in (gaussian_innovations, uniform_innovations):
             xs = gen(200_000, 3)
             assert abs(xs.mean()) < 0.01
             assert abs(xs.var() - 1.0) < 0.02

@@ -7,7 +7,6 @@ from wschebor.increments import (
     dot_increment,
     dpsi_window,
     normalized_increment,
-    smooth,
     unit_scale_process,
 )
 from wschebor.measures import (
@@ -15,14 +14,12 @@ from wschebor.measures import (
     ks_critical_value,
     ks_distance,
     ks_two_sample,
-    occupation_measure,
 )
 from wschebor.mollifiers import (
     kernel_by_id,
     kernel_ou_exponential,
     kernel_psi1,
     kernel_psi2,
-    kernel_triangle,
 )
 from wschebor.paths import GridPath, ProcessDescriptor, simulate_brownian, simulate_fbm
 
@@ -38,30 +35,17 @@ def _const_path(lo, hi, n, c):
                     {"descriptor": ProcessDescriptor("brownian")})
 
 
-class TestSmooth:
-    def test_constant_path_times_kernel_mass(self):
-        const = _const_path(-2.0, 2.0, 2 ** 12, 3.0)
-        for kid, mass in (("psi1", 1.0), ("triangle", 0.5), ("psi2", 0.0)):
-            out = smooth(const, kernel_by_id(kid), 0.25, window=(0.0, 0.5))
-            assert np.max(np.abs(out.values - 3.0 * mass)) < 1e-6, kid
-
-    def test_linear_path_forward_kernel(self):
-        lin = _linear_path(-0.5, 1.5, 2 ** 12 + 1)
-        out = smooth(lin, kernel_psi1(), 0.1)
-        assert np.max(np.abs(out.values - (out.times + 0.05))) < 1e-12
-
+class TestDotIncrement:
     def test_resolution_guard(self):
         lin = _linear_path(-0.5, 1.5, 129)
         with pytest.raises(ResolutionError):
-            smooth(lin, kernel_psi1(), lin.dt)
+            dot_increment(lin, kernel_psi1(), lin.dt)
 
     def test_coverage_guard(self):
         lin = _linear_path(0.0, 1.0, 1025)
         with pytest.raises(CoverageError):
-            smooth(lin, kernel_psi1(), 0.25)  # needs values beyond t = 1
+            dot_increment(lin, kernel_psi1(), 0.25)  # needs values beyond t = 1
 
-
-class TestDotIncrement:
     def test_forward_difference_exact(self):
         # Atoms on grid nodes: no interpolation or quadrature error, only
         # float reassociation against the hand-written difference quotient.
@@ -196,28 +180,6 @@ class TestUnitScale:
         x0, x2 = np.array(x0), np.array(x2)
         corr = np.corrcoef(x0, x2)[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(len(x0))
-
-
-class TestSecondDerivativeIdentity:
-    def test_smooth_path_tight(self):
-        ts = np.linspace(-1.0, 2.0, 2 ** 13)
-        path = GridPath(-1.0, ts[1] - ts[0], np.sin(3.0 * ts),
-                        {"descriptor": ProcessDescriptor("brownian")})
-        eps = 0.05
-        smoothed = smooth(path, kernel_triangle(), eps, window=(0.1, 0.9))
-        second = np.diff(smoothed.values, 2) / smoothed.dt ** 2
-        via_psi2 = dot_increment(path, kernel_psi2(), eps, window=(0.1, 0.9))
-        assert np.max(np.abs(second - via_psi2.values[1:-1] / eps)) < 1e-3
-
-    def test_brownian_path_within_roughness(self):
-        w = simulate_brownian(2 ** 14 + 1, 1.5, 3, t_start=-0.25)
-        eps = 0.05
-        smoothed = smooth(w, kernel_triangle(), eps, window=(0.1, 0.9))
-        second = np.diff(smoothed.values, 2) / smoothed.dt ** 2
-        via_psi2 = dot_increment(w, kernel_psi2(), eps, window=(0.1, 0.9))
-        ref = via_psi2.values[1:-1] / eps
-        rel = np.max(np.abs(second - ref)) / np.max(np.abs(ref))
-        assert rel < 0.2
 
 
 class TestScalingReduction:

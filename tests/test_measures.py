@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wschebor.errors import CoverageError, ParameterError, ResolutionError
+from wschebor.errors import CoverageError, ParameterError
 from wschebor.increments import normalized_increment
 from wschebor.measures import (
     EmpiricalMeasure,
     dbl_distance,
     f_map,
-    fixed_lag_second_order,
     ks_critical_value,
     ks_distance,
     ks_two_sample,
     occupation_measure,
-    second_difference_sd,
     space_time_measure,
     wasserstein1,
 )
@@ -331,35 +329,3 @@ class TestBoundedLipschitzOracle:
             assert abs(bound.lower - min(lower, w1, 2.0)) <= rel * lower
             assert abs(bound.upper - min(w1, 2.0)) <= rel * w1
             assert abs(wasserstein1(a, b) - w1) <= rel * w1
-
-
-class TestFixedLagSecondOrder:
-    def test_normalizer(self):
-        assert abs(second_difference_sd(0.5) ** 2 - 2.0) < 1e-12
-        # brute-force covariance of the unit-grid second difference
-        from wschebor.paths import fbm_covariance
-        for h in (0.3, 0.5, 0.8):
-            ts = np.array([0.0, 1.0, 2.0])
-            cov = fbm_covariance(ts[:, None], ts[None, :], h)
-            coef = np.array([1.0, -2.0, 1.0])
-            var = coef @ cov @ coef
-            assert abs(var - second_difference_sd(h) ** 2) < 1e-12
-
-    def test_gaussian_limit(self):
-        n = 2 ** 16
-        w = simulate_brownian(n + 1, 1.0, 99)
-        m = fixed_lag_second_order(w, n, 0.5)
-        assert abs(m.total_mass - 1.0) < 1e-12
-        assert m.points.size == n - 1
-        assert ks_distance(m, PHI) <= 0.05
-
-    def test_resolution_guard(self):
-        w = simulate_brownian(4, 1.0, 0)
-        with pytest.raises(ResolutionError):
-            fixed_lag_second_order(w, 3, 0.5)
-
-    def test_alignment_guard(self):
-        w = simulate_brownian(2 ** 10, 1.0, 0)  # dt = 1/1023, not 1/n
-        with pytest.raises(CoverageError):
-            fixed_lag_second_order(w, 512, 0.5)
-

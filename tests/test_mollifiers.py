@@ -21,10 +21,30 @@ from wschebor.mollifiers import (
     kernel_psi1,
     kernel_psi2,
     kernel_triangle,
-    known_kernel_ids,
 )
 
 K0_AT_1 = 0.42102443824070834
+
+
+def dpsi_total_mass(kernel):
+    """Total mass of d psi: atoms exactly, density by quadrature."""
+    total = sum(w for _, w in kernel.atoms)
+    if kernel.density is not None:
+        val, _ = integrate.quad(kernel.density, *kernel.density_support, limit=200,
+                                points=list(kernel.density_breakpoints) or None)
+        total += val
+    return total
+
+
+def dpsi_fourier(kernel, lam):
+    """int e^{i lam s} d psi(s), atoms exactly and density by quadrature."""
+    total = sum(w * np.exp(1j * lam * loc) for loc, w in kernel.atoms)
+    if kernel.density is not None:
+        a, b = kernel.density_support
+        re, _ = integrate.quad(lambda s: kernel.density(s) * np.cos(lam * s), a, b, limit=400)
+        im, _ = integrate.quad(lambda s: kernel.density(s) * np.sin(lam * s), a, b, limit=400)
+        total += re + 1j * im
+    return total
 
 
 def quad_oracle_k0(x):
@@ -66,7 +86,7 @@ class TestNamedKernels:
         k = kernel_psi1()
         assert abs(k.norm(2) - 1.0) < 1e-12
         assert abs(abs(fourier(k, np.pi)) - 2.0 / np.pi) < 1e-12
-        assert abs(k.dpsi_total_mass()) < 1e-10
+        assert abs(dpsi_total_mass(k)) < 1e-10
 
     def test_psi2(self):
         k = kernel_psi2()
@@ -74,16 +94,13 @@ class TestNamedKernels:
         # membership evidence decays like |lambda|^{3/2-H} near 0
         lam = 1e-6
         assert abs(fourier(k, lam)) * lam ** (0.5 - 0.9) < 1e-3
-        assert abs(k.dpsi_total_mass()) < 1e-10
+        assert abs(dpsi_total_mass(k)) < 1e-10
 
     def test_triangle(self):
         k = kernel_triangle()
         assert k.psi(0.0) == 0.5
         assert k.support == (-1.0, 1.0)
-        assert abs(k.dpsi_total_mass()) < 1e-10
-        deriv = k.derivative_kernel()
-        assert deriv.kernel_id == "psi2"
-        assert abs(abs(fourier(deriv, np.pi)) - abs(fourier(kernel_psi2(), np.pi))) < 1e-12
+        assert abs(dpsi_total_mass(k)) < 1e-10
 
     def test_ou_exponential(self):
         k = kernel_ou_exponential()
@@ -139,7 +156,7 @@ class TestFourier:
     @pytest.mark.parametrize("lam", [0.5, 1.0, np.pi, 10.0])
     def test_integration_by_parts(self, kid, lam):
         k = kernel_by_id(kid)
-        lhs = k.dpsi_fourier(lam)
+        lhs = dpsi_fourier(k, lam)
         rhs = -1j * lam * fourier(k, lam)
         assert abs(lhs - rhs) <= 1e-6
 
@@ -152,26 +169,6 @@ class TestFourier:
             else:
                 val = abs(fourier(k, lam))
             assert val <= 4.0 / lam
-
-
-class TestRescaling:
-    @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
-    def test_mass_preserved(self, eps):
-        for kid in ("psi1", "psi2", "triangle"):
-            k = kernel_by_id(kid)
-            r = k.rescaled(eps)
-            lo, hi = r.support
-            val, _ = integrate.quad(r.psi, lo, hi, points=[0.0] if lo < 0 < hi else None,
-                                    limit=200)
-            base, _ = integrate.quad(k.psi, *k.support,
-                                     points=[0.0] if k.support[0] < 0 < k.support[1] else None,
-                                     limit=200)
-            assert abs(val - base) < 1e-8
-
-    def test_rescaled_atoms_and_fourier(self):
-        k = kernel_psi1().rescaled(0.25)
-        assert k.atoms == ((-0.25, 4.0), (0.0, -4.0))
-        assert abs(k.fourier_fn(2.0) - kernel_psi1().fourier_fn(0.5)) < 1e-15
 
 
 class TestClassify:
@@ -211,7 +208,6 @@ def test_kernel_registry():
         kernel_by_id("unknown")
     with pytest.raises(ParameterError):
         kernel_by_id("fbm-ou:H=abc")
-    assert "psi1" in known_kernel_ids()
 
 
 def test_exponential_truncation_is_negligible():

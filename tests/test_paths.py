@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from wschebor.errors import ParameterError
+from wschebor.errors import ParameterError, SynthesisError
 from wschebor.measures import ks_critical_value, ks_two_sample, EmpiricalMeasure
 from wschebor.paths import (
     GridPath,
     ProcessDescriptor,
-    fbm_batch,
     fbm_covariance,
     fgn_batch,
     simulate,
@@ -15,6 +14,13 @@ from wschebor.paths import (
     simulate_stable,
     standard_stable,
 )
+
+
+def fbm_batch(hurst, n, horizon, seed, replicas):
+    """Stack of independent fBm paths, shape (replicas, n); one seed drives all."""
+    fgn = fgn_batch(n - 1, hurst, np.random.Generator(np.random.PCG64(seed)), replicas)
+    paths = np.concatenate([np.zeros((replicas, 1)), np.cumsum(fgn, axis=1)], axis=1)
+    return paths * (horizon / (n - 1)) ** hurst
 
 
 def test_brownian_minimal_grid():
@@ -181,19 +187,22 @@ def test_fbm_rejects_bad_hurst():
             simulate_fbm(h, 16, 1.0, 0)
 
 
-def test_fgn_dense_fallback(monkeypatch):
-    # Force the circulant route to report negative eigenvalues so the dense
-    # factorization path runs; the law must stay correct.
+@pytest.mark.parametrize("m, hurst", [(2 ** 18, 0.995), (2 ** 18, 0.9999), (65_537, 0.9999)])
+def test_circulant_embedding_nonnegative_near_one(m, hurst):
+    # Theory makes the embedding nonnegative definite for every H; these are
+    # the cases where the naive autocovariance cancelled to below -1e-10.
+    import wschebor.paths as paths_mod
+    eig = paths_mod._circulant_eigenvalues(m, hurst)
+    assert np.min(eig) / np.max(eig) >= -1e-10
+
+
+def test_fgn_negative_spectrum_raises(monkeypatch):
     import wschebor.paths as paths_mod
     real = paths_mod._circulant_eigenvalues
     monkeypatch.setattr(paths_mod, "_circulant_eigenvalues",
                         lambda m, h: real(m, h) - 1e3)
-    rng = np.random.default_rng(0)
-    x = fgn_batch(8, 0.7, rng, replicas=20_000)
-    rho1 = 0.5 * (2 ** 1.4 - 2.0)
-    emp = np.mean(x[:, :-1] * x[:, 1:])
-    assert abs(np.mean(x[:, 0] ** 2) - 1.0) < 0.03
-    assert abs(emp - rho1) < 0.03
+    with pytest.raises(SynthesisError):
+        fgn_batch(8, 0.7, np.random.default_rng(0), replicas=4)
 
 
 def test_descriptor_consistency():
