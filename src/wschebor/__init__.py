@@ -2,8 +2,8 @@
 
 Self-similar processes (Brownian, symmetric alpha-stable, fractional
 Brownian) are filtered through bounded-variation kernels at small scales;
-the package builds the resulting occupation, space-time, process-level and
-discrete empirical measures, the closed-form second-order theory, and the
+the package builds the resulting occupation, process-level and discrete
+empirical measures, the closed-form second-order theory, and the
 associated large-deviation rate functions.
 """
 
@@ -46,7 +46,6 @@ from .mollifiers import (
     kernel_triangle,
 )
 from .increments import (
-    IncrementProcess,
     dot_increment,
     dpsi_window,
     normalized_increment,
@@ -54,16 +53,11 @@ from .increments import (
 )
 from .measures import (
     EmpiricalMeasure,
-    MeasurePath,
-    SpaceTimeHistogram,
     dbl_distance,
-    f_map,
     ks_critical_value,
     ks_distance,
     ks_two_sample,
     occupation_measure,
-    space_time_measure,
-    wasserstein1,
 )
 from .spectral import (
     SpectralDensity,
@@ -75,14 +69,12 @@ from .spectral import (
 from .ldp import (
     CGFEstimate,
     RateCurve,
-    default_dictionary,
     dv_rate,
     estimate_cgf,
     exponential_tilt,
     legendre_dual_on_grid,
     log_moment_generating,
     moment_rate,
-    space_time_rate,
 )
 from .levelproc import (
     PathSampleCloud,

@@ -51,11 +51,13 @@ def run_replicas(fn, replicas, master_seed, threads=1):
 # ---------------------------------------------------------------------------
 
 EXPERIMENTS = {}
+TOLERANCES = {}  # experiment name -> the tolerance names it reads
 
 
-def experiment(name, description):
+def experiment(name, description, tolerances=()):
     def wrap(fn):
         EXPERIMENTS[name] = (fn, description)
+        TOLERANCES[name] = frozenset(tolerances)
         return fn
     return wrap
 
@@ -129,14 +131,18 @@ class ExperimentConfig:
                 and not kernel.has_derivative_measure:
             raise ConfigError("kernel_id", f"{self.experiment} needs a kernel with a "
                                            f"derivative measure; {kernel.kernel_id!r} has none")
-        if self.experiment in ("spectral-tables", "moment-rate") and self.hurst > 0.5 \
+        if self.experiment in ("spectral-tables", "moment-rate") \
                 and spectral.unbounded_at_zero(kernel, self.hurst):
             raise ConfigError("hurst", f"the spectral density of {kernel.kernel_id!r} is "
                                        f"unbounded at 0 for hurst {self.hurst:g}; "
-                                       "use hurst <= 0.5 or a kernel in its class G_H")
-        if self.experiment == "ou-match" and self.horizon <= max(OU_LAGS):
-            raise ConfigError("horizon", "must exceed the largest checked lag, "
-                                         f"{max(OU_LAGS):g}")
+                                       "use a smaller hurst or a kernel in its class G_H")
+        if self.experiment == "ou-match":
+            if self.horizon <= max(OU_LAGS):
+                raise ConfigError("horizon", "must exceed the largest checked lag, "
+                                             f"{max(OU_LAGS):g}")
+            if self.replicas < 2:
+                raise ConfigError("replicas", "ou-match needs at least 2 replicas "
+                                              "for the standard errors of its checks")
         if self.experiment == "level-process":
             if self.s_count < 2:
                 raise ConfigError("s_count", "must be at least 2")
@@ -156,6 +162,11 @@ class ExperimentConfig:
                                             "grid; raise grid_n or epsilon")
         if self.threads < 1:
             raise ConfigError("threads", "must be at least 1")
+        unknown = set(self.tolerances) - TOLERANCES[self.experiment]
+        if unknown:
+            raise ConfigError("tolerances", f"{self.experiment} reads no tolerance "
+                                            f"{sorted(unknown)[0]!r}; it reads "
+                                            f"{sorted(TOLERANCES[self.experiment])}")
         self._parse_lag()
 
     def _parse_lag(self):
@@ -170,24 +181,7 @@ class ExperimentConfig:
             if not 0.0 < gamma < 1.0:
                 raise ConfigError("lag_kind", "gamma must lie in (0, 1)")
             return dsc.power_schedule(gamma)
-        if kind.startswith("custom:"):
-            return self._load_lag_table(kind.split(":", 1)[1])
         raise ConfigError("lag_kind", f"unknown schedule {kind!r}")
-
-    @staticmethod
-    def _load_lag_table(path):
-        """Custom schedule from a CSV table with an `n,r` header; lookups
-        interpolate linearly between tabulated sizes."""
-        try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError("lag_kind", f"cannot read lag table {path!r}: {exc}")
-        if rows.shape[1] != 2 or rows.shape[0] < 2:
-            raise ConfigError("lag_kind", "lag table needs at least two n,r rows")
-        ns, rs = rows[:, 0], rows[:, 1]
-        if np.any(np.diff(ns) <= 0):
-            raise ConfigError("lag_kind", "lag table sizes must increase")
-        return dsc.custom_schedule(lambda n: float(np.interp(n, ns, rs)))
 
     def descriptor(self, seed=None):
         return ProcessDescriptor(
@@ -215,8 +209,9 @@ def _fits(value, kind):
 
 
 def metric(name, value, tolerance, passed=None):
+    """One results.json check; a check without a bound passes None and `passed`."""
     value = float(value)
-    tolerance = float(tolerance)
+    tolerance = None if tolerance is None else float(tolerance)
     if passed is None:
         passed = bool(value <= tolerance)
     return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(passed)}
@@ -241,13 +236,14 @@ def _occupation_ks(kernel, eps, seed, grid_n):
     lo, hi, n = _occupation_grid(kernel, eps, grid_n)
     src = simulate_brownian(n, hi - lo, seed, t_start=lo)
     inc = normalized_increment(src, kernel, eps, window=(0.0, 1.0))
-    mu = measures.occupation_measure(inc.values)
+    mu = measures.occupation_measure(inc)
     scale = kernel.norm(2)
     return measures.ks_distance(mu, lambda x: special.ndtr(x / scale)), mu
 
 
 @experiment("wschebor-check",
-            "occupation measure of normalized increments against the Gaussian limit")
+            "occupation measure of normalized increments against the Gaussian limit",
+            tolerances=("ks_to_phi",))
 def run_wschebor_check(config):
     kernel = kernel_by_id(config.kernel_id)
     tol = config.tolerance("ks_to_phi", 0.05)
@@ -283,7 +279,8 @@ def run_wschebor_check(config):
 
 
 @experiment("spectral-tables",
-            "spectral density and covariance tables with the variance identity")
+            "spectral density and covariance tables with the variance identity",
+            tolerances=("variance_consistency",))
 def run_spectral_tables(config):
     kernel = kernel_by_id(config.kernel_id)
     dens = spectral.spectral_density(kernel, config.hurst)
@@ -294,7 +291,7 @@ def run_spectral_tables(config):
     ts = np.linspace(0.0, 4.0, 41)
     metrics = [
         metric("variance_consistency", abs(dens.variance - s2), tol),
-        metric("sup_value", dens.sup_value, np.inf, passed=True),
+        metric("sup_value", dens.sup_value, None, passed=True),
     ]
     tables = {
         "density.csv": [("lambda", "density")] + [
@@ -309,7 +306,8 @@ OU_LAGS = (0.0, 1.0, 2.0)
 
 
 @experiment("ou-match",
-            "covariance of the unit-scale process against the OU law, with kernel checks")
+            "covariance of the unit-scale process against the OU law, with kernel checks",
+            tolerances=("fourier_error", "k0_error"))
 def run_ou_match(config):
     kernel = kernel_by_id(config.kernel_id)
     report = spectral.verify_ou_match(kernel, OU_LAGS,
@@ -337,7 +335,8 @@ def run_ou_match(config):
 
 
 @experiment("moment-rate",
-            "rate function of the time-averaged squared increment process")
+            "rate function of the time-averaged squared increment process",
+            tolerances=("closed_form_error", "rate_at_variance"))
 def run_moment_rate(config):
     kernel = kernel_by_id(config.kernel_id)
     dens = spectral.spectral_density(kernel, config.hurst)
@@ -364,7 +363,8 @@ def run_moment_rate(config):
 
 
 @experiment("level-process",
-            "characteristic functionals and ball frequencies of the window cloud")
+            "characteristic functionals and ball frequencies of the window cloud",
+            tolerances=("char_functional",))
 def run_level_process(config):
     eps = config.epsilon
     s_count = config.s_count
@@ -427,7 +427,8 @@ def run_level_process(config):
 
 
 @experiment("discrete-lag",
-            "sliding-window increment measures with growing lags")
+            "sliding-window increment measures with growing lags",
+            tolerances=("ks_to_phi",))
 def run_discrete_lag(config):
     schedule = config._parse_lag()
     n = config.n_discrete
@@ -485,7 +486,7 @@ def run_stable_marginal(config):
         n = int(round((hi - lo) / dt)) + 1
         src = simulate(desc, n, hi - lo, seed, t_start=lo)
         inc = normalized_increment(src, kernel, eps, window=(0.0, eps))
-        return float(inc.values.values[0])
+        return float(inc.values[0])
 
     samples = np.array(run_replicas(one, config.replicas, config.seed, config.threads))
     rng = np.random.Generator(np.random.PCG64(seed_split(config.seed, 10 ** 6)))
@@ -553,16 +554,17 @@ def run(config, output_dir=None, strict=False):
 
 
 def _write_outputs(out, results, elapsed, tables):
+    """Write the outputs; a NaN or inf bound for a JSON file raises ValueError."""
     with open(out / "results.json", "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
+        json.dump(results, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(out / "timing.json", "w") as fh:
-        json.dump({"seconds": elapsed}, fh)
+        json.dump({"seconds": elapsed}, fh, allow_nan=False)
         fh.write("\n")
     for name, rows in tables.items():
         if name.endswith(".json"):
             with open(out / name, "w") as fh:
-                json.dump(rows, fh, indent=2, sort_keys=True)
+                json.dump(rows, fh, indent=2, sort_keys=True, allow_nan=False)
                 fh.write("\n")
             continue
         with open(out / name, "w", newline="") as fh:

@@ -263,7 +263,7 @@ def coupled_pair(n, r, seed, oversample=8):
     v = (coarse[r:n + r] - coarse[:n]) / np.sqrt(eps)
     m_n = EmpiricalMeasure.from_samples(v, {"seed": seed, "lag": r, "n": n})
     cont = normalized_increment(path, kernel_psi1(), eps, window=(0.0, 1.0))
-    mu = occupation_measure(cont.values)
+    mu = occupation_measure(cont)
     return m_n, mu
 
 

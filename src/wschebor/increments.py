@@ -14,8 +14,6 @@ All operations are pure transformations of immutable inputs and can be
 applied to independent replicas fully in parallel.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import signal
 
@@ -23,17 +21,6 @@ from .errors import CoverageError, ParameterError, ResolutionError
 from .paths import GridPath
 
 MIN_EPS_OVER_DT = 4.0
-
-
-@dataclass(frozen=True)
-class IncrementProcess:
-    """A normalized increment process eps^(1-H) * dotX together with its inputs."""
-
-    source_meta: dict
-    kernel_id: str
-    epsilon: float
-    hurst_index: float
-    values: GridPath
 
 
 def dpsi_window(kernel, epsilon, window):
@@ -172,14 +159,7 @@ def normalized_increment(source, kernel, epsilon, window=(0.0, 1.0)):
     """The scale-normalized increment process eps^(1-H) * dotX."""
     h = _hurst_index(source)
     dot = dot_increment(source, kernel, epsilon, window)
-    values = GridPath(dot.t_start, dot.dt, epsilon ** (1.0 - h) * dot.values, dot.meta)
-    return IncrementProcess(
-        source_meta=dict(source.meta),
-        kernel_id=kernel.kernel_id,
-        epsilon=epsilon,
-        hurst_index=h,
-        values=values,
-    )
+    return GridPath(dot.t_start, dot.dt, epsilon ** (1.0 - h) * dot.values, dot.meta)
 
 
 def unit_scale_process(source, kernel, window=(0.0, 1.0)):
@@ -190,4 +170,4 @@ def unit_scale_process(source, kernel, window=(0.0, 1.0)):
     W(t + 1) - W(t).  It is stationary whenever the source has stationary
     increments.
     """
-    return normalized_increment(source, kernel, 1.0, window).values
+    return normalized_increment(source, kernel, 1.0, window)

@@ -53,36 +53,8 @@ def tanh_ramp(center, width):
                         lambda x: np.tanh((np.asarray(x, float) - center) / width))
 
 
-def cos_band(freq):
-    return TestFunction(f"cos({freq:g})", lambda x: np.cos(freq * np.asarray(x, float)))
-
-
-def sin_band(freq):
-    return TestFunction(f"sin({freq:g})", lambda x: np.sin(freq * np.asarray(x, float)))
-
-
 def scaled(fn, amp):
     return TestFunction(f"{amp:g}*{fn.name}", lambda x: amp * fn.fn(x))
-
-
-def default_dictionary(amplitudes=(0.05, 0.1, 0.2)):
-    """Bounded test functions: smoothed indicators and trigonometric bands.
-
-    Shapes are included at several small amplitudes: the exponential
-    estimator degenerates once the integrated functional fluctuates by
-    more than a few units, so amplitudes are tuned for horizons around
-    50 time units and the effective-sample-size guard flags abuse.
-    """
-    shapes = [tanh_ramp(c, 1.0) for c in (-1.0, 0.0, 1.0)]
-    for w in (0.5, 1.0, 2.0):
-        shapes.append(cos_band(w))
-        shapes.append(sin_band(w))
-    fns = [constant_fn(0.0)]
-    for amp in amplitudes:
-        for s in shapes:
-            fns.append(scaled(s, amp))
-            fns.append(scaled(s, -amp))
-    return fns
 
 
 # ---------------------------------------------------------------------------
@@ -367,27 +339,3 @@ def exponential_tilt(theta):
         return np.exp(0.5 * (theta * np.asarray(x, float) - theta ** 2 / 2.0))
     return g
 
-
-# ---------------------------------------------------------------------------
-# Space-time rate for piecewise-constant measure paths
-# ---------------------------------------------------------------------------
-
-def space_time_rate(measure_path, block_rate, mass_tol=1e-6):
-    """Integral of per-slope rates over a piecewise-constant measure path.
-
-    Each time block contributes its length times the rate of its slope
-    measure (the block increment normalized by the block length); block
-    increments must be probability measures after that normalization.
-    """
-    total = 0.0
-    for k in range(measure_path.n_blocks()):
-        length = measure_path.times[k + 1] - measure_path.times[k]
-        if length <= 0:
-            raise ParameterError("time blocks must have positive length")
-        inc = measure_path.increment(k)
-        slope = inc.scaled(1.0 / length)
-        if abs(slope.total_mass - 1.0) > mass_tol:
-            raise ParameterError(
-                f"block {k} slope has mass {slope.total_mass!r}, not a probability")
-        total += length * float(block_rate(slope))
-    return total

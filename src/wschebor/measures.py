@@ -1,17 +1,16 @@
-"""Occupation measures, space-time histograms and metrics between measures.
+"""Occupation measures and metrics between measures.
 
 Occupation measures are kept as raw weighted point masses so that
-Kolmogorov-Smirnov statistics are exact at sample resolution; space-time
-content is binned.  The bounded-Lipschitz metric is not exactly
-computable, so it is reported as a certified lower bound (a maximum over
-an explicit dictionary of test functions of unit BL norm) paired with a
-1-Wasserstein upper bound.  Both come from one sort of the pooled support
-with signed weights: the W1 bound and every test function of the
-dictionary, all hats and clipped ramps, are integrated exactly from the
-signed prefix sums, without evaluating them point by point.
+Kolmogorov-Smirnov statistics are exact at sample resolution.  The
+bounded-Lipschitz metric is not exactly computable, so it is reported as
+a certified lower bound (a maximum over an explicit dictionary of test
+functions of unit BL norm) paired with a 1-Wasserstein upper bound.  Both
+come from one sort of the pooled support with signed weights: the W1
+bound and every test function of the dictionary, all hats and clipped
+ramps, are integrated exactly from the signed prefix sums, without
+evaluating them point by point.
 
-Measures are immutable after construction and merging is associative and
-commutative, so Monte Carlo replicas can be combined in any order.
+Measures are immutable after construction.
 """
 
 from dataclasses import dataclass, field
@@ -61,10 +60,6 @@ class EmpiricalMeasure:
         n = samples.size
         return cls(samples, np.full(n, 1.0 / n), meta or {})
 
-    @classmethod
-    def point_mass(cls, x, mass=1.0, meta=None):
-        return cls(np.array([x]), np.array([mass]), meta or {})
-
     @property
     def total_mass(self):
         return float(self.weights.sum())
@@ -79,51 +74,6 @@ class EmpiricalMeasure:
         vals = np.concatenate(([0.0], cum))[idx]
         return float(vals) if np.isscalar(x) else vals
 
-    def mean(self):
-        return float(np.dot(self.points, self.weights) / self.total_mass)
-
-    def integrate(self, fn):
-        return float(np.dot(np.asarray(fn(self.points), dtype=float), self.weights))
-
-    def normalized(self):
-        total = self.total_mass
-        if total <= 0:
-            raise ParameterError("cannot normalize a zero measure")
-        return EmpiricalMeasure(self.points, self.weights / total, dict(self.meta))
-
-    def scaled(self, factor):
-        return EmpiricalMeasure(self.points, self.weights * factor, dict(self.meta))
-
-    def merge(self, other):
-        """Associative, commutative union of mass; metadata from self wins."""
-        return EmpiricalMeasure(
-            np.concatenate([self.points, other.points]),
-            np.concatenate([self.weights, other.weights]),
-            dict(self.meta),
-        )
-
-    def difference(self, other, tol=1e-9):
-        """self - other when other's points are a subset pattern of self's.
-
-        Only defined when the result is again a nonnegative measure, which
-        is the case for cumulative slices of the same histogram.
-        """
-        if self.points.size == other.points.size and np.allclose(self.points, other.points):
-            w = self.weights - other.weights
-            if np.any(w < -tol):
-                raise ParameterError("difference is not a nonnegative measure")
-            return EmpiricalMeasure(self.points, np.clip(w, 0.0, None), dict(self.meta))
-        if other.points.size == 0:
-            return self
-        raise ParameterError("measures are not defined on a common support")
-
-
-def _trapezoid_weights(n, dt):
-    w = np.full(n, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
 
 def occupation_measure(path, window=(0.0, 1.0)):
     """Time-occupation measure of a path over `window`, total mass 1.
@@ -136,7 +86,8 @@ def occupation_measure(path, window=(0.0, 1.0)):
     if path.t_start > w0 + tol or path.t_end < w1 - tol:
         raise CoverageError("path does not cover the requested window")
     sub = path.restricted(w0, w1)
-    weights = _trapezoid_weights(len(sub), sub.dt)
+    weights = np.full(len(sub), sub.dt)
+    weights[[0, -1]] *= 0.5
     weights /= weights.sum()
     meta = {"seed": _path_seed(path), "window": window}
     return EmpiricalMeasure(sub.values, weights, meta)
@@ -145,97 +96,6 @@ def occupation_measure(path, window=(0.0, 1.0)):
 def _path_seed(path):
     desc = path.meta.get("descriptor")
     return getattr(desc, "seed", None)
-
-
-# ---------------------------------------------------------------------------
-# Space-time measures
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceTimeHistogram:
-    """Binned measure on [0,1] x R whose first marginal is Lebesgue."""
-
-    time_edges: np.ndarray
-    value_edges: np.ndarray
-    mass: np.ndarray
-
-    def __post_init__(self):
-        te = np.asarray(self.time_edges, dtype=float)
-        ve = np.asarray(self.value_edges, dtype=float)
-        m = np.asarray(self.mass, dtype=float)
-        if m.shape != (te.size - 1, ve.size - 1):
-            raise ParameterError("mass matrix shape does not match bin edges")
-        for arr in (te, ve, m):
-            arr.setflags(write=False)
-        object.__setattr__(self, "time_edges", te)
-        object.__setattr__(self, "value_edges", ve)
-        object.__setattr__(self, "mass", m)
-
-    @property
-    def total_mass(self):
-        return float(self.mass.sum())
-
-    def first_marginal(self):
-        return self.mass.sum(axis=1)
-
-    def second_marginal(self):
-        centers = 0.5 * (self.value_edges[1:] + self.value_edges[:-1])
-        return EmpiricalMeasure(centers, self.mass.sum(axis=0))
-
-    def row_ks(self, k, target_cdf):
-        """KS distance of a row profile to a target CDF, evaluated at the
-        value-bin edges where the binned CDF is exact."""
-        row = self.mass[k]
-        total = row.sum()
-        if total <= 0:
-            raise ParameterError(f"time bin {k} carries no mass")
-        cum = np.concatenate(([0.0], np.cumsum(row / total)))
-        targets = np.asarray(target_cdf(self.value_edges), dtype=float)
-        return float(np.max(np.abs(cum - targets)))
-
-
-def space_time_measure(path, time_bins, value_bins, window=(0.0, 1.0), value_edges=None):
-    """Histogram of (t, Z(t)) weighted by time, normalized to total mass 1."""
-    if time_bins < 2 or value_bins < 2:
-        raise ParameterError("need at least 2 bins per axis")
-    w0, w1 = window
-    sub = path.restricted(w0, w1)
-    if abs(sub.t_start - w0) > 1e-9 + sub.dt or sub.t_end < w1 - 1e-9:
-        raise CoverageError("path does not cover the requested window")
-    weights = _trapezoid_weights(len(sub), sub.dt)
-    weights /= weights.sum()
-    te = np.linspace(w0, w1, time_bins + 1)
-    if value_edges is None:
-        lo, hi = sub.values.min(), sub.values.max()
-        pad = 1e-9 + 1e-6 * (hi - lo)
-        value_edges = np.linspace(lo - pad, hi + pad, value_bins + 1)
-    mass, _, _ = np.histogram2d(sub.times, sub.values, bins=[te, value_edges],
-                                weights=weights)
-    return SpaceTimeHistogram(te, value_edges, mass)
-
-
-@dataclass(frozen=True)
-class MeasurePath:
-    """Cumulative-in-time slices F(M)(t) of a space-time measure."""
-
-    times: np.ndarray
-    cumulative: list
-
-    def increment(self, k):
-        """Mass gained between times[k] and times[k+1] (a nonnegative measure)."""
-        return self.cumulative[k + 1].difference(self.cumulative[k])
-
-    def n_blocks(self):
-        return len(self.cumulative) - 1
-
-
-def f_map(hist):
-    """Cumulative-in-time slices of a histogram; invertible by differencing."""
-    centers = 0.5 * (hist.value_edges[1:] + hist.value_edges[:-1])
-    cum = np.concatenate([np.zeros((1, hist.mass.shape[1])),
-                          np.cumsum(hist.mass, axis=0)], axis=0)
-    slices = [EmpiricalMeasure(centers, cum[k]) for k in range(cum.shape[0])]
-    return MeasurePath(hist.time_edges.copy(), slices)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +153,6 @@ def _signed_support(mu, nu):
 def _w1_sorted(x, c0):
     """W1 from the sorted pooled support and the running CDF difference."""
     return float(np.dot(np.abs(c0[:-1]), np.diff(x)))
-
-
-def wasserstein1(mu, nu):
-    """Exact 1-Wasserstein distance between two probability measures on R."""
-    x, s = _signed_support(mu, nu)
-    return _w1_sorted(x, np.cumsum(s))
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,6 @@ class GridPath:
     def t_end(self):
         return self.t_start + (self.values.size - 1) * self.dt
 
-    @property
-    def times(self):
-        return self.t_start + self.dt * np.arange(self.values.size)
-
     def node_index(self, t, tol=1e-9):
         """Index of the grid node at time t, or None if t is off-grid."""
         k = (t - self.t_start) / self.dt

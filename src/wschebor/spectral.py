@@ -84,12 +84,9 @@ def _density_fn(kernel, hurst):
         return out if out.ndim else float(out)
 
     def _limit_at_zero():
-        if hurst < 0.5:
-            return 0.0 if np.isfinite(abs2(0.0)) else np.inf
-        if hurst == 0.5:
-            return abs2(0.0) / c2
-        probe = abs2(1e-9) * (1e-9) ** expo / c2
-        return probe
+        if hurst <= 0.5 and np.isfinite(abs2(0.0)):
+            return 0.0 if hurst < 0.5 else abs2(0.0) / c2
+        return abs2(1e-9) * (1e-9) ** expo / c2
 
     return density
 
@@ -97,12 +94,10 @@ def _density_fn(kernel, hurst):
 def unbounded_at_zero(kernel, hurst, classify_report=None):
     """Whether the kernel's spectral density at `hurst` is unbounded at 0.
 
-    Only H > 1/2 can blow up, and does so for a kernel outside the
-    admissible low-frequency class; an inconclusive classification is
-    settled by comparing the density at 1e-12 with its value at 1e-6.
+    The density blows up for a kernel outside the admissible low-frequency
+    class; an inconclusive classification is settled by comparing the
+    density at 1e-12 with its value at 1e-6.
     """
-    if hurst <= 0.5:
-        return False
     member = (classify_report or classify(kernel, [hurst])).in_G_H.get(hurst)
     if member is None:
         density = _density_fn(kernel, hurst)
@@ -188,7 +183,7 @@ def spectral_density(kernel, hurst, classify_report=None):
             return val
 
     head, _ = integrate.quad(density, 0.0, HEAD_CUTOFF, limit=800, points=[0.0])
-    variance = 2.0 * (head + tail(HEAD_CUTOFF)) if np.isfinite(sup_val) else np.inf
+    variance = float(2.0 * (head + tail(HEAD_CUTOFF))) if np.isfinite(sup_val) else np.inf
 
     return SpectralDensity(
         eval=density,
@@ -213,9 +208,9 @@ def covariance_from_density(density, t):
         return density.variance
     head, err = integrate.quad(density.eval, 0.0, HEAD_CUTOFF, weight="cos", wvar=t,
                                limit=1600)
-    if err > 1e-6:
+    if not err <= 1e-6:
         raise QuadratureError(f"covariance head quadrature error {err:.2e}")
-    return 2.0 * (head + density._cos_tail(HEAD_CUTOFF, t))
+    return float(2.0 * (head + density._cos_tail(HEAD_CUTOFF, t)))
 
 
 def sigma_sq(kernel, hurst):

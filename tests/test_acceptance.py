@@ -80,7 +80,7 @@ def _brownian_increment_ks(kernel, eps, seed, grid_n):
     lo, hi = dpsi_window(kernel, eps, (0.0, 1.0))
     n = int(round((hi - lo) * grid_n)) + 1
     src = simulate_brownian(n, hi - lo, seed, t_start=lo)
-    x = normalized_increment(src, kernel, eps, window=(0.0, 1.0)).values
+    x = normalized_increment(src, kernel, eps, window=(0.0, 1.0))
     mu = occupation_measure(x)
     scale = kernel.norm(2)
     return ks_distance(mu, lambda v: PHI(v / scale))
@@ -212,7 +212,7 @@ def test_09_stable_marginal():
     for i in range(n_samp):
         src = simulate_stable(alpha, n, hi - lo, seed_split(11, i), t_start=lo)
         samples[i] = normalized_increment(src, kernel, eps,
-                                          window=(0.0, eps)).values.values[0]
+                                          window=(0.0, eps)).values[0]
     rng = np.random.Generator(np.random.PCG64(seed_split(11, 10 ** 7)))
     ref = standard_stable(alpha, rng, n_samp) * kernel.norm(alpha)
     d = ks_two_sample(EmpiricalMeasure.from_samples(samples),
@@ -229,7 +229,7 @@ def test_10_scaling_reduction():
     small, large = [], []
     for i in range(n_paths):
         w = simulate_brownian(int((1 + eps) * 1024) + 1, 1.0 + eps, seed_split(21, i))
-        x = normalized_increment(w, kernel_psi1(), eps).values
+        x = normalized_increment(w, kernel_psi1(), eps)
         small.extend(x.values[:: round(2 * eps / x.dt)][:per_path])
         w2 = simulate_brownian(int(65.0 * 16) + 1, 65.0, seed_split(22, i))
         y = unit_scale_process(w2, kernel_psi1(), window=(0.0, 64.0))

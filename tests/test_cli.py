@@ -8,10 +8,12 @@ import pytest
 from wschebor import discrete
 from wschebor.cli import (
     EXPERIMENTS,
+    TOLERANCES,
     ExperimentConfig,
     _occupation_ks,
     list_experiments,
     main,
+    metric,
     run,
     run_replicas,
     seed_split,
@@ -88,19 +90,6 @@ class TestConfig:
             ExperimentConfig.from_dict({"experiment": "discrete-lag",
                                         "lag_kind": "power:gamma=2"})
 
-    def test_custom_lag_table(self, tmp_path):
-        table = tmp_path / "lags.csv"
-        table.write_text("n,r\n100,10\n10000,100\n1000000,1000\n")
-        cfg = ExperimentConfig.from_dict({"experiment": "discrete-lag",
-                                          "lag_kind": f"custom:{table}"})
-        sched = cfg._parse_lag()
-        assert sched.r(100) == 10
-        assert sched.r(10000) == 100
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict({"experiment": "discrete-lag",
-                                        "lag_kind": "custom:/nonexistent.csv"})
-        assert err.value.field == "lag_kind"
-
 
 # (payload, extra argv, text stderr must hold, exit code)
 MALFORMED = {
@@ -161,6 +150,21 @@ MALFORMED = {
                           "time_bins:", 1),
     "removed-value-bins": ({"experiment": "moment-rate", "value_bins": 32}, [],
                            "value_bins:", 1),
+    "removed-custom-lag-table": ({"experiment": "discrete-lag",
+                                  "lag_kind": "custom:lags.csv"}, [], "lag_kind:", 1),
+    "ou-match-one-replica": ({"experiment": "ou-match", "kernel_id": "ou-exp",
+                              "replicas": 1}, [], "replicas:", 1),
+    "spectral-tables-unbounded-fbm-ou-at-half": ({"experiment": "spectral-tables",
+                                                  "kernel_id": "fbm-ou:H=0.4",
+                                                  "hurst": 0.5}, [], "hurst:", 1),
+    "moment-rate-unbounded-fbm-ou-at-half": ({"experiment": "moment-rate",
+                                              "kernel_id": "fbm-ou:H=0.4",
+                                              "hurst": 0.5}, [], "hurst:", 1),
+    "tolerances-unknown-name": ({"experiment": "wschebor-check",
+                                 "tolerances": {"ks_to_phy": 1e-9}}, [], "tolerances:", 1),
+    "tolerances-other-experiments-name": ({"experiment": "stable-marginal",
+                                           "tolerances": {"ks_to_phi": 0.1}}, [],
+                                          "tolerances:", 1),
 }
 
 
@@ -184,11 +188,19 @@ class TestExitCodes:
         # epsilon/4 is 4 steps of a 1/256 grid, the coarsest that admits it
         ExperimentConfig.from_dict({"experiment": "wschebor-check",
                                     "epsilon": 2.0 ** -4, "grid_n": 2 ** 8})
-        # psi2's density is bounded at hurst 0.7; no density blows up at hurst <= 1/2
+        # psi2's density is bounded at hurst 0.7, and fbm-ou:H=0.4's at hurst <= 0.4
         ExperimentConfig.from_dict({"experiment": "moment-rate", "kernel_id": "psi2",
                                     "hurst": 0.7})
         ExperimentConfig.from_dict({"experiment": "spectral-tables", "kernel_id": "psi1",
                                     "hurst": 0.4})
+        for hurst in (0.3, 0.4):
+            ExperimentConfig.from_dict({"experiment": "spectral-tables",
+                                        "kernel_id": "fbm-ou:H=0.4", "hurst": hurst})
+        ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-exp",
+                                    "replicas": 2})
+        for name, names in TOLERANCES.items():
+            ExperimentConfig.from_dict({"experiment": name, **FAST_CONFIGS[name],
+                                        "tolerances": {t: 1.0 for t in names}})
         ExperimentConfig.from_dict({"experiment": "discrete-lag", "n_discrete": 2 ** 8})
         # horizon only has to exceed the largest checked lag, 2
         ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-exp",
@@ -219,6 +231,17 @@ class TestExitCodes:
         with pytest.raises(TypeError):
             run(small_config("moment-rate"), output_dir=tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_value_exits_3(self, tmp_path, capsys, monkeypatch):
+        def nan_metric(config):
+            return [metric("x", float("nan"), 1.0)], {}
+        monkeypatch.setitem(EXPERIMENTS, "moment-rate", (nan_metric, "writes NaN"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "moment-rate"}))
+        argv = ["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert "Out of range float" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_failed_run_keeps_existing_output(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -414,6 +437,28 @@ class TestRun:
                            skiprows=1)
         ratio = table[:, 1].var() / table[:, 0].var()
         assert 0.85 < ratio < 1.15
+
+    @pytest.mark.parametrize("name, overrides", [
+        *(pytest.param(name, {}, id=name) for name in sorted(FAST_CONFIGS)),
+        pytest.param("spectral-tables", {"kernel_id": "fbm-ou:H=0.4", "hurst": 0.3},
+                     id="spectral-tables-fbm-ou-hurst-0.3")])
+    def test_outputs_are_strict_json_and_finite_csv(self, tmp_path, name, overrides):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        run(small_config(name, **overrides), output_dir=tmp_path)
+        for path in sorted(tmp_path.iterdir()):
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=reject)
+                continue
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, path.name
+            for cell in (c for row in rows for c in row):
+                # The char_functional.csv atoms column is a JSON list of numbers.
+                numbers = np.ravel(json.loads(cell, parse_constant=reject)) \
+                    if cell.startswith("[") else [float(cell)]
+                assert all(np.isfinite(numbers)), (path.name, cell)
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_byte_identical_across_runs_and_threads(self, tmp_path, name):

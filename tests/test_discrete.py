@@ -74,7 +74,7 @@ class TestDiscreteMeasure:
             for rep in range(60):
                 xs = gaussian_innovations(n + r, 10_000 + rng_idx)
                 rng_idx += 1
-                means.append(discrete_measure(xs, r).mean())
+                means.append(discrete_measure(xs, r).points.mean())
             log_eps.append(np.log(eps))
             log_var.append(np.log(np.var(means)))
         slope = np.polyfit(log_eps, log_var, 1)[0]

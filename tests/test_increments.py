@@ -91,7 +91,7 @@ class TestNormalizedIncrement:
         vals = []
         for seed in range(300):
             w = simulate_brownian(2 ** 11 + 1, 1.25, seed)
-            x = normalized_increment(w, kernel_psi1(), 2 ** -4).values
+            x = normalized_increment(w, kernel_psi1(), 2 ** -4)
             step = round(2 * 2 ** -4 / x.dt)  # decorrelated samples
             vals.extend(x.values[::step])
         mu = EmpiricalMeasure.from_samples(np.array(vals))
@@ -102,7 +102,7 @@ class TestNormalizedIncrement:
         vals = []
         for seed in range(200):
             w = simulate_brownian(2 ** 12 + 1, 8.0, seed, t_start=-6.5)
-            x = normalized_increment(w, kern, 0.125, window=(0.0, 1.0)).values
+            x = normalized_increment(w, kern, 0.125, window=(0.0, 1.0))
             vals.extend(x.values[:: round(0.5 / x.dt)])
         vals = np.array(vals)
         assert abs(vals.var() - kern.norm(2) ** 2) < 4.0 * np.sqrt(2.0 / len(vals))
@@ -114,7 +114,7 @@ class TestNormalizedIncrement:
         vals = []
         for seed in range(400):
             p = simulate_fbm(hurst, 2 ** 10 + 1, 1.25, seed)
-            x = normalized_increment(p, kernel_psi1(), 2 ** -4).values
+            x = normalized_increment(p, kernel_psi1(), 2 ** -4)
             vals.extend(x.values[:: round(2 * 2 ** -4 / x.dt)])
         vals = np.array(vals)
         assert abs(vals.var() - target) < 5.0 * target * np.sqrt(2.0 / len(vals))
@@ -192,7 +192,7 @@ class TestScalingReduction:
         left, right = [], []
         for seed in range(n_rep):
             w = simulate_brownian(2 ** 10 + 1, 1.0 + eps, seed)
-            x = normalized_increment(w, kernel_psi1(), eps).values
+            x = normalized_increment(w, kernel_psi1(), eps)
             left.extend(x.values[:: round(2 * eps / x.dt)])
             w2 = simulate_brownian(2 ** 10 + 1, 65.0, 10 ** 6 + seed)
             y = unit_scale_process(w2, kernel_psi1(), window=(0.0, 64.0))

@@ -19,10 +19,8 @@ from wschebor.ldp import (
     log_moment_generating,
     moment_rate,
     scaled,
-    space_time_rate,
     tanh_ramp,
 )
-from wschebor.measures import EmpiricalMeasure, MeasurePath
 from wschebor.mollifiers import kernel_ou_exponential, kernel_psi1
 from wschebor.paths import ProcessDescriptor
 from wschebor.spectral import spectral_density
@@ -218,53 +216,3 @@ class TestGaussHermite:
         assert abs(gauss_hermite_expectation(lambda x: x ** 2, mean=2.0) - 5.0) < 1e-11
         assert abs(gauss_hermite_expectation(lambda x: x, variance=4.0)) < 1e-12
 
-
-class TestSpaceTimeRate:
-    def _block_path(self, grid, slopes, lengths):
-        times = np.concatenate(([0.0], np.cumsum(lengths)))
-        cumulative = []
-        acc = np.zeros_like(grid)
-        cumulative.append(EmpiricalMeasure(grid, acc.copy()))
-        for mu, ell in zip(slopes, lengths):
-            acc = acc + ell * mu
-            cumulative.append(EmpiricalMeasure(grid, acc.copy()))
-        return MeasurePath(times, cumulative)
-
-    def _gaussian_weights(self, grid, mean):
-        w = np.exp(-0.5 * (grid - mean) ** 2)
-        return w / w.sum()
-
-    def test_constant_limit_slope_vanishes(self):
-        grid = np.linspace(-4, 4, 33)
-        w = self._gaussian_weights(grid, 0.0)
-        path = self._block_path(grid, [w, w], [0.5, 0.5])
-        assert space_time_rate(path, lambda mu: 0.0 if abs(mu.mean()) < 0.3 else 1.0) == 0.0
-
-    def test_two_blocks_average(self):
-        grid = np.linspace(-4, 4, 33)
-        w1 = self._gaussian_weights(grid, 0.0)
-        w2 = self._gaussian_weights(grid, 1.0)
-        path = self._block_path(grid, [w1, w2], [0.5, 0.5])
-        rate = space_time_rate(path, lambda mu: abs(mu.mean()))
-        expected = 0.5 * abs(np.dot(grid, w1)) + 0.5 * abs(np.dot(grid, w2))
-        assert abs(rate - expected) < 1e-12
-
-    def test_ou_tilted_block(self):
-        # One block whose slope is the mean-1 Gaussian tilt: the half-speed
-        # occupation rate of that slope is 1/8.
-        grid = np.linspace(-6, 6, 2001)
-        w = self._gaussian_weights(grid, 1.0)
-        path = self._block_path(grid, [w], [1.0])
-
-        def block_rate(mu):
-            theta = mu.mean()
-            return dv_rate(exponential_tilt(theta))
-
-        assert abs(space_time_rate(path, block_rate) - 0.125) < 1e-3
-
-    def test_rejects_non_probability_slopes(self):
-        grid = np.linspace(-4, 4, 33)
-        w = self._gaussian_weights(grid, 0.0)
-        path = self._block_path(grid, [2.0 * w], [1.0])
-        with pytest.raises(ParameterError):
-            space_time_rate(path, lambda mu: 0.0)
