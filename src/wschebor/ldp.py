@@ -21,6 +21,7 @@ from scipy import integrate, optimize
 from .errors import DegenerateEstimatorError, NormalizationError, ParameterError
 from .increments import unit_scale_process
 from .paths import seed_split, simulate
+from .spectral import HEAD_CUTOFF
 
 MIN_ESS_FRACTION = 0.01
 WARN_ESS_FRACTION = 0.10
@@ -256,7 +257,7 @@ def legendre_dual_on_grid(cgf, moment_targets, target_variance=1.0):
 # Quadratic-moment rate through the spectral density
 # ---------------------------------------------------------------------------
 
-def log_moment_generating(density, y, head_cutoff=64.0):
+def log_moment_generating(density, y):
     """L(y) = -(1/4pi) int log(1 - 4 pi y l(s)) ds over the real line.
 
     Finite for y < 1 / (4 pi sup l); the tail beyond the head cutoff uses
@@ -275,14 +276,13 @@ def log_moment_generating(density, y, head_cutoff=64.0):
     def integrand(s):
         return np.log1p(-c * density.eval(s))
 
-    head, _ = integrate.quad(integrand, 0.0, head_cutoff, limit=800, points=[0.0])
+    head, _ = integrate.quad(integrand, 0.0, HEAD_CUTOFF, limit=800, points=[0.0])
     # log1p(-c*l) = -c*l - (c*l)^2/2 - O((c*l)^3) on the tiny tail values.
-    tail = -c * density.tail_integral(head_cutoff) \
-        - 0.5 * c * c * density.tail_square_integral(head_cutoff)
+    tail = -c * density.tail - 0.5 * c * c * density.tail_sq
     return -(head + tail) / (2.0 * np.pi)
 
 
-def moment_rate(density, xs, y_floor_factor=1e6):
+def moment_rate(density, xs):
     """Rate function of the time-averaged squared process, by Legendre duality.
 
     Computes I(x) = sup_y { x y - L(y) } over y in (-Y0, 1/(4 pi M)) by
@@ -303,7 +303,7 @@ def moment_rate(density, xs, y_floor_factor=1e6):
                 lambda y: -(x * y - log_moment_generating(density, y)),
                 bounds=(y_lo, y_max * (1.0 - 1e-12)),
                 method="bounded", options={"xatol": 1e-12})
-            if res.x > y_lo * (1.0 - 1e-3) + 1e-15 or abs(y_lo) >= y_floor_factor * y_max:
+            if res.x > y_lo * (1.0 - 1e-3) + 1e-15 or abs(y_lo) >= 1e6 * y_max:
                 break
             y_lo *= 8.0
         values.append(max(0.0, float(-res.fun)))

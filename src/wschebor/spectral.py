@@ -26,24 +26,18 @@ HEAD_CUTOFF = 64.0
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Evaluatable spectral density of a unit-scale increment process."""
+    """Evaluatable spectral density of a unit-scale increment process.
+
+    Beyond the head cutoff B = HEAD_CUTOFF: `tail` = int_B^inf l,
+    `tail_sq` = int_B^inf l^2 and `cos_tail(t)` = int_B^inf cos(t l) l(l) dl.
+    """
 
     eval: object
     sup_value: float
-    sup_location: float
-    continuous_at_zero: bool
-    kernel_id: str
-    hurst: float
     variance: float
-    _tail: object = None        # B -> int_B^inf l
-    _cos_tail: object = None    # (B, t) -> int_B^inf cos(t l) l(l) dl
-    _tail_sq: object = None     # B -> int_B^inf l^2
-
-    def tail_integral(self, cutoff):
-        return self._tail(cutoff)
-
-    def tail_square_integral(self, cutoff):
-        return self._tail_sq(cutoff)
+    tail: float
+    tail_sq: float
+    cos_tail: object
 
 
 def _atom_cosine_decomposition(kernel):
@@ -58,59 +52,53 @@ def _atom_cosine_decomposition(kernel):
     return amp, comps
 
 
-def _power_cos_tail(b, t, expo):
-    """int_b^inf cos(t l) l^{-expo} dl, analytic for t = 0, cycle quadrature else."""
+def _power_cos_tail(t, expo):
+    """int_B^inf cos(t l) l^{-expo} dl, B = HEAD_CUTOFF; analytic for t = 0, QAWF else."""
     if t == 0.0:
-        return b ** (1.0 - expo) / (expo - 1.0)
-    val, _ = integrate.quad(lambda l: l ** (-expo), b, np.inf,
+        return HEAD_CUTOFF ** (1.0 - expo) / (expo - 1.0)
+    val, _ = integrate.quad(lambda l: l ** (-expo), HEAD_CUTOFF, np.inf,
                             weight="cos", wvar=t, limit=800)
     return val
 
 
 def _density_fn(kernel, hurst):
-    """l(lambda) of the kernel at Hurst index `hurst`, for a float or an array."""
+    """l(lambda) of the kernel at Hurst index `hurst`, for a float lambda."""
     c2 = hurst_normalizer_sq(hurst)
     abs2 = kernel.fourier_abs2
     expo = 1.0 - 2.0 * hurst
+    if hurst <= 0.5 and np.isfinite(abs2(0.0)):
+        at_zero = 0.0 if hurst < 0.5 else float(abs2(0.0) / c2)
+    else:
+        at_zero = float(abs2(1e-300) * 1e-300 ** expo / c2)
 
     def density(lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.empty_like(lam)
-        nz = np.abs(lam) > 1e-300
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[nz] = abs2(lam[nz]) * np.abs(lam[nz]) ** expo / c2
-        if np.any(~nz):
-            out[~nz] = _limit_at_zero()
-        return out if out.ndim else float(out)
-
-    def _limit_at_zero():
-        if hurst <= 0.5 and np.isfinite(abs2(0.0)):
-            return 0.0 if hurst < 0.5 else abs2(0.0) / c2
-        return abs2(1e-9) * (1e-9) ** expo / c2
+        if abs(lam) <= 1e-300:
+            return at_zero
+        return float(abs2(lam) * abs(lam) ** expo / c2)
 
     return density
 
 
-def unbounded_at_zero(kernel, hurst, classify_report=None):
+def unbounded_at_zero(kernel, hurst):
     """Whether the kernel's spectral density at `hurst` is unbounded at 0.
 
     The density blows up for a kernel outside the admissible low-frequency
     class; an inconclusive classification is settled by comparing the
     density at 1e-12 with its value at 1e-6.
     """
-    member = (classify_report or classify(kernel, [hurst])).in_G_H.get(hurst)
+    member = classify(kernel, [hurst]).in_G_H.get(hurst)
     if member is None:
         density = _density_fn(kernel, hurst)
         return bool(density(1e-12) > 10.0 * density(1e-6))
     return member is False
 
 
-def spectral_density(kernel, hurst, classify_report=None):
+def spectral_density(kernel, hurst):
     """Spectral density of the unit-scale increment process of the kernel.
 
     The supremum is located by a coarse log/linear scan refined with
     bounded scalar minimization.  When `unbounded_at_zero` holds, the sup
-    is reported as +inf and the density flagged discontinuous at 0.
+    and the variance are reported as +inf.
     """
     if not 0.0 < hurst < 1.0:
         raise ParameterError("hurst must lie in (0, 1)")
@@ -118,85 +106,57 @@ def spectral_density(kernel, hurst, classify_report=None):
         raise ParameterError(f"kernel {kernel.kernel_id!r} has no |psi_hat|^2 evaluator")
     c2 = hurst_normalizer_sq(hurst)
     density = _density_fn(kernel, hurst)
-    sup_inf = unbounded_at_zero(kernel, hurst, classify_report)
 
-    scan = np.unique(np.concatenate([
-        np.linspace(1e-9, 20.0, 4001),
-        np.logspace(-9, 3, 500),
-    ]))
-    dens_scan = density(scan)
-    k = int(np.argmax(dens_scan))
-    lo = scan[max(k - 1, 0)]
-    hi = scan[min(k + 1, scan.size - 1)]
-    res = optimize.minimize_scalar(lambda l: -density(l),
-                                   bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-12})
-    sup_loc = float(res.x)
-    sup_val = density(sup_loc)
-    if sup_inf:
+    if unbounded_at_zero(kernel, hurst):
         sup_val = np.inf
-        sup_loc = 0.0
+    else:
+        scan = np.unique(np.concatenate([np.linspace(1e-9, 20.0, 4001),
+                                         np.logspace(-9, 3, 500)]))
+        k = int(np.argmax(np.fromiter(map(density, scan), float, scan.size)))
+        lo = scan[max(k - 1, 0)]
+        hi = scan[min(k + 1, scan.size - 1)]
+        res = optimize.minimize_scalar(lambda l: -density(l),
+                                       bounds=(lo, hi), method="bounded",
+                                       options={"xatol": 1e-12})
+        sup_val = density(res.x)
 
-    # Tail integrals beyond the head cutoff.
+    # Integrals beyond the head cutoff.
     if kernel.atoms and kernel.density is None:
         amp, comps = _atom_cosine_decomposition(kernel)
         pw = 1.0 + 2.0 * hurst  # lam^{-2} * lam^{1-2H}
 
-        def tail(b):
-            total = amp * _power_cos_tail(b, 0.0, pw)
+        def cos_tail(t):
+            total = amp * _power_cos_tail(t, pw)
             for c, d in comps:
-                total += c * _power_cos_tail(b, d, pw)
+                total += 0.5 * c * (_power_cos_tail(t + d, pw) + _power_cos_tail(abs(t - d), pw))
             return total / c2
 
-        def cos_tail(b, t):
-            total = amp * _power_cos_tail(b, t, pw)
-            for c, d in comps:
-                total += 0.5 * c * (_power_cos_tail(b, t + d, pw)
-                                    + _power_cos_tail(b, abs(t - d), pw))
-            return total / c2
-
-        def tail_sq(b):
-            # Square the cosine sum: products of cosines fold into sums.
-            terms = [(amp ** 2 + 0.5 * sum(c * c for c, _ in comps), 0.0)]
-            for c, d in comps:
-                terms.append((2.0 * amp * c, d))
-                terms.append((0.5 * c * c, 2.0 * d))
-            for i, (ci, di) in enumerate(comps):
-                for cj, dj in comps[i + 1:]:
-                    terms.append((ci * cj, di + dj))
-                    terms.append((ci * cj, abs(di - dj)))
-            total = sum(c * _power_cos_tail(b, d, 2.0 * pw) for c, d in terms)
-            return total / c2 ** 2
+        # Square the cosine sum: products of cosines fold into sums.
+        terms = [(amp ** 2 + 0.5 * sum(c * c for c, _ in comps), 0.0)]
+        for c, d in comps:
+            terms.append((2.0 * amp * c, d))
+            terms.append((0.5 * c * c, 2.0 * d))
+        for i, (ci, di) in enumerate(comps):
+            for cj, dj in comps[i + 1:]:
+                terms.append((ci * cj, di + dj))
+                terms.append((ci * cj, abs(di - dj)))
+        tail_sq = sum(c * _power_cos_tail(d, 2.0 * pw) for c, d in terms) / c2 ** 2
     else:
-        def tail(b):
-            val, _ = integrate.quad(density, b, np.inf, limit=400)
-            return val
-
-        def cos_tail(b, t):
+        def cos_tail(t):
             if t == 0.0:
-                return tail(b)
-            val, _ = integrate.quad(density, b, np.inf, weight="cos", wvar=t, limit=800)
-            return val
+                return integrate.quad(density, HEAD_CUTOFF, np.inf, limit=400)[0]
+            return integrate.quad(density, HEAD_CUTOFF, np.inf, weight="cos", wvar=t,
+                                  limit=800)[0]
 
-        def tail_sq(b):
-            val, _ = integrate.quad(lambda l: density(l) ** 2, b, np.inf, limit=400)
-            return val
+        tail_sq, _ = integrate.quad(lambda l: density(l) ** 2, HEAD_CUTOFF, np.inf,
+                                    limit=400)
 
-    head, _ = integrate.quad(density, 0.0, HEAD_CUTOFF, limit=800, points=[0.0])
-    variance = float(2.0 * (head + tail(HEAD_CUTOFF))) if np.isfinite(sup_val) else np.inf
-
-    return SpectralDensity(
-        eval=density,
-        sup_value=sup_val,
-        sup_location=sup_loc,
-        continuous_at_zero=not sup_inf,
-        kernel_id=kernel.kernel_id,
-        hurst=hurst,
-        variance=variance,
-        _tail=tail,
-        _cos_tail=cos_tail,
-        _tail_sq=tail_sq,
-    )
+    tail = cos_tail(0.0)
+    head = integrate.quad(density, 0.0, HEAD_CUTOFF, limit=800, points=[0.0])[0] \
+        if np.isfinite(sup_val) else np.inf
+    variance = float(2.0 * (head + tail))
+    return SpectralDensity(eval=density, sup_value=sup_val, variance=variance,
+                           tail=tail, tail_sq=tail_sq, cos_tail=cos_tail)
 
 
 def covariance_from_density(density, t):
@@ -210,7 +170,7 @@ def covariance_from_density(density, t):
                                limit=1600)
     if not err <= 1e-6:
         raise QuadratureError(f"covariance head quadrature error {err:.2e}")
-    return float(2.0 * (head + density._cos_tail(HEAD_CUTOFF, t)))
+    return float(2.0 * (head + density.cos_tail(t)))
 
 
 def sigma_sq(kernel, hurst):
@@ -236,11 +196,17 @@ def sigma_sq(kernel, hurst):
                 points=sorted({u, *pts} & set(np.clip([u, *pts], c, d))) or None,
                 limit=400)
             total += 2.0 * wu * cross
-        # Symmetric double integral over the triangle u < v, where the
-        # kink of |u - v| disappears.
+        # Symmetric double integral over u < v, where the kink of |u - v|
+        # disappears, split at the breakpoints: the triangle u < v on each
+        # piece and a rectangle for each pair of distinct pieces.
         inner = lambda v, u: kernel.density(u) * kernel.density(v) * (v - u) ** h2
-        dd, _ = integrate.dblquad(inner, c, d, lambda u: u, d,
-                                  epsabs=1e-10, epsrel=1e-10)
+        edges = [c, *(p for p in pts if c < p < d), d]
+        pieces = list(zip(edges[:-1], edges[1:]))
+        dd = 0.0
+        for i, (lo, hi) in enumerate(pieces):
+            for j, (v_lo, v_hi) in enumerate(pieces[i:]):
+                dd += integrate.dblquad(inner, lo, hi, v_lo if j else (lambda u: u), v_hi,
+                                        epsabs=1e-10, epsrel=1e-10)[0]
         total += 2.0 * dd
     return -0.5 * total
 

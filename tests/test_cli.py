@@ -313,6 +313,16 @@ class TestRun:
         assert run(cfg, output_dir=tmp_path, strict=True) == 2
         assert run(cfg, output_dir=tmp_path, strict=False) == 0
 
+    def test_variance_consistency_can_fail(self, tmp_path):
+        cfg = small_config("spectral-tables", kernel_id="triangle", hurst=0.5,
+                           tolerances={"variance_consistency": 1e-15})
+        assert run(cfg, output_dir=tmp_path, strict=True) == 2
+
+    def test_no_variance_consistency_without_derivative_measure(self, tmp_path):
+        run(small_config("spectral-tables", kernel_id="ou-bessel"), output_dir=tmp_path)
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert [m["name"] for m in res["metrics"]] == ["sup_value"]
+
     def test_wschebor_check_passes(self, tmp_path):
         cfg = small_config("wschebor-check")
         assert run(cfg, output_dir=tmp_path, strict=True) == 0
@@ -441,7 +451,9 @@ class TestRun:
     @pytest.mark.parametrize("name, overrides", [
         *(pytest.param(name, {}, id=name) for name in sorted(FAST_CONFIGS)),
         pytest.param("spectral-tables", {"kernel_id": "fbm-ou:H=0.4", "hurst": 0.3},
-                     id="spectral-tables-fbm-ou-hurst-0.3")])
+                     id="spectral-tables-fbm-ou-hurst-0.3"),
+        pytest.param("spectral-tables", {"kernel_id": "triangle", "hurst": 0.5},
+                     id="spectral-tables-triangle-hurst-0.5")])
     def test_outputs_are_strict_json_and_finite_csv(self, tmp_path, name, overrides):
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")

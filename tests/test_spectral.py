@@ -46,34 +46,45 @@ class TestSpectralDensity:
     def test_ou_closed_form(self):
         d = spectral_density(kernel_ou_exponential(), 0.5)
         lam = np.array([0.0, 0.5, 1.0, 3.0])
-        assert np.allclose(d.eval(lam), 1.0 / (np.pi * (1.0 + lam ** 2)), atol=1e-12)
+        assert np.allclose([d.eval(l) for l in lam], 1.0 / (np.pi * (1.0 + lam ** 2)), atol=1e-12)
         assert abs(d.sup_value - 1.0 / np.pi) < 1e-10
-        assert d.continuous_at_zero
+        assert np.isfinite(d.sup_value)
 
     def test_forward_difference_closed_form(self):
         d = spectral_density(kernel_psi1(), 0.5)
         lam = np.array([0.5, 1.0, np.pi])
         target = (np.sin(lam / 2.0) / (lam / 2.0)) ** 2 / (2.0 * np.pi)
-        assert np.allclose(d.eval(lam), target, atol=1e-12)
+        assert np.allclose([d.eval(l) for l in lam], target, atol=1e-12)
         assert abs(d.eval(0.0) - 1.0 / (2.0 * np.pi)) < 1e-12
 
     def test_evenness_and_decay(self):
         for kid, h in (("psi1", 0.5), ("psi2", 0.7), ("ou-exp", 0.5)):
             d = spectral_density(kernel_by_id(kid), h)
             lam = np.array([0.3, 1.7, 9.0])
-            assert np.allclose(d.eval(lam), d.eval(-lam), atol=1e-12)
+            assert np.allclose([d.eval(l) for l in lam], [d.eval(-l) for l in lam], atol=1e-12)
             assert d.eval(1e3) < 1e-4
             assert d.eval(1e4) < 1e-6
 
     def test_discontinuous_at_zero_above_half(self):
         d = spectral_density(kernel_psi1(), 0.7)
-        assert not d.continuous_at_zero
+        assert not np.isfinite(d.sup_value)
         assert d.sup_value == np.inf
 
     def test_admissible_kernel_above_half(self):
         d = spectral_density(kernel_psi2(), 0.9)
-        assert d.continuous_at_zero
         assert np.isfinite(d.sup_value)
+
+    def test_eval_returns_python_float(self):
+        d = spectral_density(kernel_psi1(), 0.3)
+        assert type(d.eval(1.0)) is float and type(d.eval(0.0)) is float
+
+    def test_value_at_zero_is_the_limit(self):
+        # fbm-ou:H=0.4 at hurst h: l grows like lambda^{2(0.4 - h)} near 0, and is
+        # 1/(pi (1 + lambda^2)) at h = 0.4.
+        assert spectral_density(kernel_by_id("fbm-ou:H=0.4"), 0.3).eval(0.0) < 1e-50
+        d = spectral_density(kernel_by_id("fbm-ou:H=0.4"), 0.4)
+        assert abs(d.eval(0.0) - 1.0 / np.pi) < 1e-12
+        assert spectral_density(kernel_psi2(), 0.7).eval(0.0) == 0.0
 
 
 class TestCovariance:
@@ -113,6 +124,12 @@ class TestSigmaSq:
             d = spectral_density(k, h)
             assert abs(d.variance - sigma_sq(k, h)) < 1e-4, (kid, h)
 
+    def test_density_with_a_jump(self):
+        # The triangle's derivative density jumps at 0: int psi^2 = 1/6 at H = 1/2.
+        k = kernel_by_id("triangle")
+        assert abs(sigma_sq(k, 0.5) - 1.0 / 6.0) < 1e-12
+        assert abs(sigma_sq(k, 0.3) - spectral_density(k, 0.3).variance) < 1e-8
+
     def test_rejects_kernel_without_derivative(self):
         with pytest.raises(ParameterError):
             sigma_sq(kernel_ou_bessel(), 0.5)
@@ -147,6 +164,6 @@ class TestPeriodogram:
         freqs, dens = periodogram(y.values, y.dt, n_segments=128)
         d = spectral_density(kernel_psi1(), 0.5)
         mask = (freqs > 0.05) & (freqs < 20.0)
-        theo = d.eval(freqs[mask])
+        theo = np.array([d.eval(l) for l in freqs[mask]])
         rel_l1 = np.sum(np.abs(dens[mask] - theo)) / np.sum(theo)
         assert rel_l1 <= 0.1
