@@ -183,12 +183,11 @@ class ExperimentConfig:
             return dsc.power_schedule(gamma)
         raise ConfigError("lag_kind", f"unknown schedule {kind!r}")
 
-    def descriptor(self, seed=None):
+    def descriptor(self):
         return ProcessDescriptor(
             self.family,
             hurst=self.hurst if self.family == "fbm" else None,
             alpha=self.alpha if self.family == "stable" else None,
-            seed=seed,
         )
 
     def tolerance(self, name, default):

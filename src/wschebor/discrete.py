@@ -25,52 +25,33 @@ from .measures import EmpiricalMeasure, dbl_distance, occupation_measure
 from .mollifiers import kernel_psi1
 from .paths import simulate_brownian
 
-POWER_GAMMA = "power"
-OVER_LOG = "overlog"
-CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class LagSchedule:
-    """A lag sequence n -> r_n with its shrinking ratio eps_n = r_n / n."""
+    """A lag sequence n -> r_n = max(floor(fn(n)), 1), named by `label`,
+    with its shrinking ratio eps_n = r_n / n."""
 
-    kind: str
-    params: tuple = ()
-    custom_fn: object = None
+    label: str
+    fn: object
 
     def r(self, n):
-        n = np.asarray(n, dtype=float)
-        if self.kind == POWER_GAMMA:
-            out = np.floor(n ** self.params[0])
-        elif self.kind == OVER_LOG:
-            out = np.floor(n / np.log(n))
-        elif self.kind == CUSTOM:
-            out = np.floor(np.vectorize(self.custom_fn)(n))
-        else:
-            raise ParameterError(f"unknown schedule kind {self.kind!r}")
-        return np.maximum(out, 1.0)
+        return np.maximum(np.floor(self.fn(np.asarray(n, dtype=float))), 1.0)
 
     def epsilon(self, n):
         return self.r(n) / np.asarray(n, dtype=float)
-
-    def label(self):
-        if self.kind == POWER_GAMMA:
-            return f"power:gamma={self.params[0]:g}"
-        return self.kind
 
 
 def power_schedule(gamma):
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie in (0, 1)")
-    return LagSchedule(POWER_GAMMA, (gamma,))
+    return LagSchedule(f"power:gamma={gamma:g}", lambda n: n ** gamma)
 
 
 def over_log_schedule():
-    return LagSchedule(OVER_LOG)
+    return LagSchedule("overlog", lambda n: n / np.log(n))
 
 
 def custom_schedule(fn):
-    return LagSchedule(CUSTOM, custom_fn=fn)
+    return LagSchedule("custom", np.vectorize(fn))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +189,10 @@ def validate_lln_schedule(schedule, delta, subsequence, k_max):
         "successive-closeness",
         "pass" if closeness else ("inconclusive" if rt == "stable" else "fail"),
         {"first_ratios": ratios[:3], "last_ratios": ratios[-3:]}))
-    return ScheduleReport(schedule.label(), checks)
+    return ScheduleReport(schedule.label, checks)
 
 
-def validate_ldp_schedule(schedule, n_lo, n_hi, points=40):
+def validate_ldp_schedule(schedule, n_lo, n_hi):
     """Bracket eps_n * log(n) and eps_n * sqrt(n) over a range of n.
 
     Reports which large-deviation regime the schedule supports: the
@@ -219,7 +200,7 @@ def validate_ldp_schedule(schedule, n_lo, n_hi, points=40):
     general-innovation condition needs eps_n log n bounded away from 0
     and infinity.
     """
-    ns = np.unique(np.floor(np.logspace(np.log10(n_lo), np.log10(n_hi), points)))
+    ns = np.unique(np.floor(np.logspace(np.log10(n_lo), np.log10(n_hi), 40)))
     eps = schedule.epsilon(ns)
     prod_log = eps * np.log(ns)
     prod_sqrt = eps * np.sqrt(ns)
@@ -238,7 +219,7 @@ def validate_ldp_schedule(schedule, n_lo, n_hi, points=40):
         "sqrt-divergence",
         "pass" if diverges else ("inconclusive" if t_sqrt == "stable" else "fail"),
         {"min": float(prod_sqrt.min()), "max": float(prod_sqrt.max()), "trend": t_sqrt}))
-    return ScheduleReport(schedule.label(), checks)
+    return ScheduleReport(schedule.label, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +248,7 @@ def coupled_pair(n, r, seed, oversample=8):
     return m_n, mu
 
 
-def coupling_distance(gaussian_m_n, continuum_mu, dictionary_size=8):
+def coupling_distance(gaussian_m_n, continuum_mu):
     """Certified lower bound on the BL distance between the coupled measures.
 
     Both inputs must carry the same provenance seed; shrinking values as n
@@ -279,4 +260,4 @@ def coupling_distance(gaussian_m_n, continuum_mu, dictionary_size=8):
     if seed_a is None or seed_b is None or seed_a != seed_b:
         raise SeedMismatchError(
             f"measures come from different paths (seeds {seed_a!r} vs {seed_b!r})")
-    return dbl_distance(gaussian_m_n, continuum_mu, dictionary_size).lower
+    return dbl_distance(gaussian_m_n, continuum_mu).lower

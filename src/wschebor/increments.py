@@ -14,6 +14,8 @@ All operations are pure transformations of immutable inputs and can be
 applied to independent replicas fully in parallel.
 """
 
+import functools
+
 import numpy as np
 from scipy import signal
 
@@ -30,7 +32,7 @@ def dpsi_window(kernel, epsilon, window):
     return (w0 - epsilon * b, w1 - epsilon * a)
 
 
-def _guard_resolution(kernel, epsilon, dt):
+def _guard_resolution(epsilon, dt):
     if epsilon < MIN_EPS_OVER_DT * dt:
         raise ResolutionError(
             f"epsilon={epsilon:g} is below {MIN_EPS_OVER_DT:g} grid steps (dt={dt:g})")
@@ -49,48 +51,6 @@ def _output_slice(source, window, required):
     if i1 - i0 < 1:
         raise CoverageError("window contains fewer than two grid nodes")
     return i0, i1
-
-
-class _Stencil:
-    """Discrete convolution weights over integer grid offsets.
-
-    Fractional offsets (atoms landing off-grid) are split linearly between
-    the two neighbouring nodes; Brownian-type paths are Holder continuous,
-    so the interpolation error stays below Monte Carlo noise at the
-    resolutions the guard admits.
-    """
-
-    def __init__(self):
-        self._weights = {}
-
-    def add(self, offset, weight):
-        lo = int(np.floor(offset))
-        frac = offset - lo
-        if abs(frac) < 1e-9:
-            self._weights[lo] = self._weights.get(lo, 0.0) + weight
-        elif frac > 1.0 - 1e-9:
-            self._weights[lo + 1] = self._weights.get(lo + 1, 0.0) + weight
-        else:
-            self._weights[lo] = self._weights.get(lo, 0.0) + weight * (1.0 - frac)
-            self._weights[lo + 1] = self._weights.get(lo + 1, 0.0) + weight * frac
-
-    def apply(self, values, i0, i1):
-        """Evaluate sum_k w_k X[i + k] for i in [i0, i1]."""
-        offs = sorted(self._weights)
-        o_min, o_max = offs[0], offs[-1]
-        if i0 + o_min < 0 or i1 + o_max > values.size - 1:
-            raise CoverageError("stencil reaches outside the source grid")
-        n_out = i1 - i0 + 1
-        if len(offs) <= 8:
-            out = np.zeros(n_out)
-            for o in offs:
-                out += self._weights[o] * values[i0 + o:i0 + o + n_out]
-            return out
-        dense = np.zeros(o_max - o_min + 1)
-        for o, w in self._weights.items():
-            dense[o - o_min] = w
-        seg = values[i0 + o_min:i1 + o_max + 1]
-        return signal.fftconvolve(seg, dense[::-1], mode="valid")
 
 
 def _trapezoid_pieces(fn, lo, hi, breakpoints, du_target):
@@ -118,17 +78,60 @@ def _trapezoid_pieces(fn, lo, hi, breakpoints, du_target):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+@functools.lru_cache(maxsize=8)
 def _dpsi_stencil(kernel, epsilon, dt):
-    st = _Stencil()
-    for loc, w in kernel.atoms:
-        st.add(-epsilon * loc / dt, w / epsilon)
+    """Weights of (1/eps) dpsi(u) over the integer grid offsets -eps*u/dt.
+
+    Returns (o_min, weights, touched): `weights` covers the consecutive
+    offsets o_min, o_min + 1, ... and `touched` lists the offsets any share
+    lands on.  The nodes are the atoms, then the trapezoid nodes of the
+    density; a node landing off-grid is split linearly between its two
+    neighbouring offsets.  Brownian-type paths are Holder continuous, so the
+    interpolation error stays below Monte Carlo noise at the resolutions the
+    guard admits.  Both arrays are read-only, since the cache shares them.
+    """
+    nodes = np.array([loc for loc, _ in kernel.atoms], dtype=float)
+    mass = np.array([w for _, w in kernel.atoms], dtype=float) / epsilon
     if kernel.density is not None:
         c, d = kernel.density_support
         u, w = _trapezoid_pieces(kernel.density, c, d,
                                  kernel.density_breakpoints, dt / epsilon)
-        for uj, wj in zip(u, w / epsilon):
-            st.add(-epsilon * uj / dt, wj)
-    return st
+        nodes = np.concatenate([nodes, u])
+        mass = np.concatenate([mass, w / epsilon])
+    offset = -epsilon * nodes / dt
+    lo = np.floor(offset)
+    frac = offset - lo
+    snap_lo, snap_hi = frac < 1e-9, frac > 1.0 - 1e-9
+    # Shares laid out per node as (lo, lo + 1), without the empty share of
+    # a snapped node, so np.add.at sums each offset in node order.
+    idx = np.stack([lo, lo + 1.0], axis=1).astype(np.int64).ravel()
+    share = np.stack([np.where(snap_lo, mass, mass * (1.0 - frac)),
+                      np.where(snap_hi, mass, mass * frac)], axis=1).ravel()
+    keep = np.stack([~snap_hi, ~snap_lo], axis=1).ravel()
+    idx, share = idx[keep], share[keep]
+    touched = np.unique(idx)
+    o_min = int(touched[0])
+    weights = np.zeros(int(touched[-1]) - o_min + 1)
+    np.add.at(weights, idx - o_min, share)
+    weights.flags.writeable = False
+    touched.flags.writeable = False
+    return o_min, weights, touched
+
+
+def _apply_stencil(stencil, values, i0, i1):
+    """Evaluate sum_k w_k X[i + k] for i in [i0, i1]."""
+    o_min, weights, touched = stencil
+    o_max = o_min + weights.size - 1
+    if i0 + o_min < 0 or i1 + o_max > values.size - 1:
+        raise CoverageError("stencil reaches outside the source grid")
+    n_out = i1 - i0 + 1
+    if touched.size <= 8:
+        out = np.zeros(n_out)
+        for o in touched:
+            out += weights[o - o_min] * values[i0 + o:i0 + o + n_out]
+        return out
+    seg = values[i0 + o_min:i1 + o_max + 1]
+    return signal.fftconvolve(seg, weights[::-1], mode="valid")
 
 
 def dot_increment(source, kernel, epsilon, window=(0.0, 1.0)):
@@ -137,13 +140,12 @@ def dot_increment(source, kernel, epsilon, window=(0.0, 1.0)):
     For the forward-difference kernel this is exactly
     (X(t + eps) - X(t)) / eps at nodes where both times are on the grid.
     """
-    _guard_resolution(kernel, epsilon, source.dt)
+    _guard_resolution(epsilon, source.dt)
     if not kernel.has_derivative_measure:
         raise ParameterError(
             f"kernel {kernel.kernel_id!r} carries no derivative measure")
     i0, i1 = _output_slice(source, window, dpsi_window(kernel, epsilon, window))
-    st = _dpsi_stencil(kernel, epsilon, source.dt)
-    out = st.apply(source.values, i0, i1)
+    out = _apply_stencil(_dpsi_stencil(kernel, epsilon, source.dt), source.values, i0, i1)
     meta = dict(source.meta, kernel=kernel.kernel_id, epsilon=epsilon, transform="dot")
     return GridPath(source.t_start + i0 * source.dt, source.dt, out, meta)
 

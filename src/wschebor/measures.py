@@ -64,8 +64,8 @@ class EmpiricalMeasure:
     def total_mass(self):
         return float(self.weights.sum())
 
-    def is_probability(self, tol=1e-9):
-        return abs(self.total_mass - 1.0) <= tol
+    def is_probability(self):
+        return abs(self.total_mass - 1.0) <= 1e-6
 
     def cdf(self, x):
         """Right-continuous distribution function."""
@@ -75,21 +75,20 @@ class EmpiricalMeasure:
         return float(vals) if np.isscalar(x) else vals
 
 
-def occupation_measure(path, window=(0.0, 1.0)):
-    """Time-occupation measure of a path over `window`, total mass 1.
+def occupation_measure(path):
+    """Time-occupation measure of a path over [0, 1], total mass 1.
 
     Point masses sit at the sampled values with trapezoid-corrected
     weights, then are normalized exactly.
     """
-    w0, w1 = window
     tol = 1e-9 * path.dt
-    if path.t_start > w0 + tol or path.t_end < w1 - tol:
-        raise CoverageError("path does not cover the requested window")
-    sub = path.restricted(w0, w1)
+    if path.t_start > tol or path.t_end < 1.0 - tol:
+        raise CoverageError("path does not cover the window [0, 1]")
+    sub = path.restricted(0.0, 1.0)
     weights = np.full(len(sub), sub.dt)
     weights[[0, -1]] *= 0.5
     weights /= weights.sum()
-    meta = {"seed": _path_seed(path), "window": window}
+    meta = {"seed": _path_seed(path)}
     return EmpiricalMeasure(sub.values, weights, meta)
 
 
@@ -110,7 +109,7 @@ def ks_distance(mu, target_cdf):
     sorted, as every EmpiricalMeasure's are: tied points are pooled by
     summing the weights of each run of equal values.
     """
-    if not mu.is_probability(tol=1e-6):
+    if not mu.is_probability():
         raise ParameterError("Kolmogorov-Smirnov needs a probability measure")
     first = np.flatnonzero(np.concatenate(([True], mu.points[1:] != mu.points[:-1])))
     points = mu.points[first]
@@ -164,17 +163,17 @@ class BLBound:
     witness: str
 
 
-def _pooled_knots(x, s, dictionary_size):
+def _pooled_knots(x, s):
     """Pooled quantiles of the sorted signed support and their midpoints."""
     pooled = np.abs(s)
     cum = np.cumsum(pooled / pooled.sum())
-    qs = np.linspace(0.0, 1.0, dictionary_size + 2)[1:-1]
+    qs = np.linspace(0.0, 1.0, 10)[1:-1]  # eight interior quantiles
     knots = np.unique(x[np.searchsorted(cum, qs * cum[-1], side="left").clip(0, x.size - 1)])
     mids = 0.5 * (knots[1:] + knots[:-1]) if knots.size > 1 else np.array([])
     return np.unique(np.concatenate([knots, mids]))
 
 
-def dbl_distance(mu, nu, dictionary_size=8):
+def dbl_distance(mu, nu):
     """Bounded-Lipschitz distance, reported as (lower bound, upper bound).
 
     The lower bound maximizes |int f dmu - int f dnu| over a dictionary of
@@ -186,7 +185,7 @@ def dbl_distance(mu, nu, dictionary_size=8):
     and sum(s*x) at their breakpoints.  The upper bound is min(W1, 2).
     """
     for m in (mu, nu):
-        if not m.is_probability(tol=1e-6):
+        if not m.is_probability():
             raise ParameterError("bounded-Lipschitz distance needs probability measures")
     x, s = _signed_support(mu, nu)
     # Prefix sums with a leading zero: c0[i] = sum(s[:i]), c1[i] = sum(s[:i]*x[:i]).
@@ -197,7 +196,7 @@ def dbl_distance(mu, nu, dictionary_size=8):
         # mu and nu agree on every interval, hence on every test function.
         return BLBound(lower=0.0, upper=0.0, witness="zero")
     np.cumsum(s * x, out=c1[1:])
-    knots = _pooled_knots(x, s, dictionary_size)
+    knots = _pooled_knots(x, s)
     widths = max(float(x[-1] - x[0]), 1e-12) * np.array([0.25, 0.5, 1.0, 2.0])
     c, w = knots[:, None], widths[None, :]
     g = w / (w + 1.0)

@@ -68,10 +68,10 @@ class SignedKernel:
     density_breakpoints : tuple
         Interior discontinuities of the density; quadrature grids never
         straddle them.
-    fourier_fn : callable or None
-        Closed-form transform int e^{i lambda t} psi(t) dt, if available.
     fourier_abs2 : callable or None
-        Numerically stable closed form for |psi_hat|^2.
+        Numerically stable closed form for |psi_hat|^2, the only form in
+        which the theory reads the transform; `fourier` gives psi_hat
+        itself by quadrature.
     bounded_variation : bool
         Whether psi is of bounded variation (i.e. the atoms+density
         decomposition is a faithful derivative).
@@ -86,7 +86,6 @@ class SignedKernel:
     density: object = None
     density_support: tuple = None
     density_breakpoints: tuple = ()
-    fourier_fn: object = None
     fourier_abs2: object = None
     bounded_variation: bool = True
     integrable: bool = True
@@ -134,11 +133,10 @@ class SignedKernel:
 def fourier(kernel, lam):
     """Transform psi_hat(lambda) = int e^{i lambda t} psi(t) dt.
 
-    Uses the kernel's closed form when it carries one, otherwise adaptive
-    quadrature over the support with oscillatory weights for large lambda.
+    Adaptive quadrature over the support, with oscillatory weights for large
+    lambda.  The theory reads psi_hat only through |psi_hat|^2, which each
+    kernel carries in closed form as `fourier_abs2`.
     """
-    if kernel.fourier_fn is not None:
-        return complex(kernel.fourier_fn(lam))
     if not kernel.integrable:
         raise ParameterError(f"kernel {kernel.kernel_id!r} is not integrable")
     a, b = kernel.support
@@ -179,11 +177,6 @@ def kernel_psi1():
         t = np.asarray(t, dtype=float)
         return np.where((t >= -1.0) & (t <= 0.0), 1.0, 0.0)
 
-    def ft(lam):
-        if lam == 0.0:
-            return 1.0 + 0.0j
-        return (1.0 - np.exp(-1j * lam)) / (1j * lam)
-
     def ft_abs2(lam):
         lam = np.asarray(lam, dtype=float)
         return np.sinc(lam / (2.0 * np.pi)) ** 2
@@ -193,7 +186,6 @@ def kernel_psi1():
         psi=psi,
         support=(-1.0, 0.0),
         atoms=((-1.0, 1.0), (0.0, -1.0)),
-        fourier_fn=ft,
         fourier_abs2=ft_abs2,
     )
 
@@ -205,11 +197,6 @@ def kernel_psi2():
         return 0.5 * (np.where((t >= -1.0) & (t < 0.0), 1.0, 0.0)
                       - np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0))
 
-    def ft(lam):
-        if lam == 0.0:
-            return 0.0 + 0.0j
-        return (1.0 - np.cos(lam)) / (1j * lam)
-
     def ft_abs2(lam):
         lam = np.asarray(lam, dtype=float)
         return (lam / 2.0) ** 2 * np.sinc(lam / (2.0 * np.pi)) ** 4
@@ -219,7 +206,6 @@ def kernel_psi2():
         psi=psi,
         support=(-1.0, 1.0),
         atoms=((-1.0, 0.5), (0.0, -1.0), (1.0, 0.5)),
-        fourier_fn=ft,
         fourier_abs2=ft_abs2,
     )
 
@@ -235,9 +221,6 @@ def kernel_triangle():
         return np.where((t >= -1.0) & (t < 0.0), 0.5, 0.0) \
             - np.where((t >= 0.0) & (t <= 1.0), 0.5, 0.0)
 
-    def ft(lam):
-        return 0.5 * np.sinc(lam / (2.0 * np.pi)) ** 2 + 0.0j
-
     def ft_abs2(lam):
         lam = np.asarray(lam, dtype=float)
         return 0.25 * np.sinc(lam / (2.0 * np.pi)) ** 4
@@ -249,7 +232,6 @@ def kernel_triangle():
         density=density,
         density_support=(-1.0, 1.0),
         density_breakpoints=(0.0,),
-        fourier_fn=ft,
         fourier_abs2=ft_abs2,
     )
 
@@ -270,9 +252,6 @@ def kernel_ou_exponential():
         t = np.asarray(t, dtype=float)
         return np.where(t >= 0.0, -np.sqrt(2.0) * np.exp(-np.clip(t, 0.0, None)), 0.0)
 
-    def ft(lam):
-        return np.sqrt(2.0) / (1.0 - 1j * lam)
-
     def ft_abs2(lam):
         lam = np.asarray(lam, dtype=float)
         return 2.0 / (1.0 + lam ** 2)
@@ -284,7 +263,6 @@ def kernel_ou_exponential():
         atoms=((0.0, np.sqrt(2.0)),),
         density=density,
         density_support=(0.0, EXP_TAIL_CUTOFF),
-        fourier_fn=ft,
         fourier_abs2=ft_abs2,
     )
 
@@ -306,8 +284,8 @@ def kernel_ou_bessel():
     """Even OU-matching kernel with transform sqrt(2)/sqrt(1 + lambda^2).
 
     Unbounded at the origin, hence not of bounded variation: it carries no
-    derivative measure and is used through its pointwise values and
-    closed-form transform.
+    derivative measure and is used through its pointwise values and the
+    closed form of |psi_hat|^2.
     """
     def ft_abs2(lam):
         lam = np.asarray(lam, dtype=float)
@@ -317,7 +295,6 @@ def kernel_ou_bessel():
         kernel_id="ou-bessel",
         psi=kernel_ou_bessel_value,
         support=(-EXP_TAIL_CUTOFF, EXP_TAIL_CUTOFF),
-        fourier_fn=None,
         fourier_abs2=ft_abs2,
         bounded_variation=False,
     )
@@ -368,11 +345,6 @@ def kernel_fbm_ou(hurst):
         out = np.array([kernel_fbm_ou_value(hurst, v) for v in flat])
         return float(out[0]) if np.isscalar(t) else out
 
-    def ft(lam):
-        if lam == 0.0 and hurst < 0.5:
-            return np.inf + 0.0j
-        return np.sqrt(c2) * abs(lam) ** (hurst - 0.5) / np.sqrt(np.pi * (1.0 + lam ** 2)) + 0.0j
-
     def ft_abs2(lam):
         lam = np.asarray(lam, dtype=float)
         with np.errstate(divide="ignore"):
@@ -382,7 +354,6 @@ def kernel_fbm_ou(hurst):
         kernel_id=f"fbm-ou:H={hurst:g}",
         psi=psi,
         support=(-np.inf, np.inf),
-        fourier_fn=ft,
         fourier_abs2=ft_abs2,
         bounded_variation=False,
         integrable=(hurst == 0.5),

@@ -72,11 +72,11 @@ class GridPath:
     def t_end(self):
         return self.t_start + (self.values.size - 1) * self.dt
 
-    def node_index(self, t, tol=1e-9):
+    def node_index(self, t):
         """Index of the grid node at time t, or None if t is off-grid."""
         k = (t - self.t_start) / self.dt
         k_round = int(round(k))
-        if abs(k - k_round) <= tol and 0 <= k_round < self.values.size:
+        if abs(k - k_round) <= 1e-9 and 0 <= k_round < self.values.size:
             return k_round
         return None
 

@@ -262,8 +262,9 @@ def _filter_brownian_increments(half, weights, horizon, dt, seed, kernel_id):
     return GridPath(0.0, dt, vals, meta)
 
 
-def _unit_scale_sampler(kernel, horizon, dt):
-    """Closure drawing one unit-scale path per seed; kernel setup shared."""
+def _unit_scale_sampler(kernel, horizon):
+    """Closure drawing one unit-scale path per seed on a 1/256 grid; kernel setup shared."""
+    dt = 1.0 / 256
     if kernel.has_derivative_measure:
         a, b = kernel.dpsi_hull()
         lo = -b  # unit-scale process at t needs X on [t - b, t - a]
@@ -282,7 +283,7 @@ def _unit_scale_sampler(kernel, horizon, dt):
     return draw
 
 
-def verify_ou_match(kernel, lags, replicas, horizon=50.0, dt=1.0 / 256, seed=0):
+def verify_ou_match(kernel, lags, replicas, horizon=50.0, seed=0):
     """Empirical covariance of the unit-scale process against e^{-|t|}.
 
     Simulates `replicas` independent long-horizon paths of the unit-scale
@@ -293,7 +294,7 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, dt=1.0 / 256, seed=0):
         raise ParameterError("OU matching is defined for the ou-exp and ou-bessel kernels")
     if not lags:
         return OuMatchReport(kernel.kernel_id, replicas, horizon, [])
-    draw = _unit_scale_sampler(kernel, horizon, dt)
+    draw = _unit_scale_sampler(kernel, horizon)
     estimates = np.empty((replicas, len(lags)))
     for r in range(replicas):
         y = draw(seed_split(seed, r))

@@ -4,6 +4,8 @@ from scipy import stats
 
 from wschebor.errors import CoverageError, ParameterError, ResolutionError
 from wschebor.increments import (
+    _dpsi_stencil,
+    _trapezoid_pieces,
     dot_increment,
     dpsi_window,
     normalized_increment,
@@ -84,6 +86,57 @@ class TestDotIncrement:
         assert dpsi_window(kernel_psi1(), 0.25, (0.0, 1.0)) == (0.0, 1.25)
         lo, hi = dpsi_window(kernel_ou_exponential(), 0.5, (0.0, 1.0))
         assert lo < -20 and hi == 1.0
+
+    def test_off_grid_atoms_split_linearly(self):
+        # At eps = 4.5 dt the atom at -1 lands halfway between two nodes:
+        # exact on a linear path, and off by dt^2/(4 eps) on t^2.
+        dt = 2.0 ** -10
+        eps = 4.5 * dt
+        ts = np.arange(int(1.5 / dt) + 1) * dt
+        desc = {"descriptor": ProcessDescriptor("brownian")}
+        out = dot_increment(GridPath(0.0, dt, ts, desc), kernel_psi1(), eps)
+        assert np.max(np.abs(out.values - 1.0)) < 1e-11
+        out = dot_increment(GridPath(0.0, dt, ts ** 2, desc), kernel_psi1(), eps)
+        t = out.t_start + np.arange(out.values.size) * dt
+        assert np.max(np.abs(out.values - (2 * t + eps + dt ** 2 / (4 * eps)))) < 1e-11
+
+    @pytest.mark.parametrize("kid", ["psi1", "psi2", "triangle", "ou-exp"])
+    @pytest.mark.parametrize("ratio", [4, 4.5, 8, 64, 256])
+    def test_stencil_matches_node_by_node_reference(self, kid, ratio):
+        # Reference: each node's shares added one at a time, in node order.
+        k, eps = kernel_by_id(kid), 0.1
+        dt = eps / ratio
+        nodes = [(-eps * loc / dt, w / eps) for loc, w in k.atoms]
+        if k.density is not None:
+            u, w = _trapezoid_pieces(k.density, *k.density_support,
+                                     k.density_breakpoints, dt / eps)
+            nodes += [(-eps * uj / dt, wj) for uj, wj in zip(u, w / eps)]
+        ref = {}
+        for off, wt in nodes:
+            lo = int(np.floor(off))
+            frac = off - lo
+            if frac < 1e-9:
+                shares = [(lo, wt)]
+            elif frac > 1.0 - 1e-9:
+                shares = [(lo + 1, wt)]
+            else:
+                shares = [(lo, wt * (1.0 - frac)), (lo + 1, wt * frac)]
+            for o, v in shares:
+                ref[o] = ref.get(o, 0.0) + v
+        o_min, weights, touched = _dpsi_stencil(k, eps, dt)
+        assert touched.tolist() == sorted(ref)
+        dense = np.zeros(weights.size)
+        for o, v in ref.items():
+            dense[o - o_min] = v
+        assert o_min == min(ref) and dense.tobytes() == weights.tobytes()
+
+    def test_stencil_is_cached_and_read_only(self):
+        k = kernel_by_id("triangle")
+        st = _dpsi_stencil(k, 0.1, 0.01)
+        assert _dpsi_stencil(k, 0.1, 0.01) is st
+        assert _dpsi_stencil(kernel_by_id("triangle"), 0.1, 0.01) is not st
+        _, weights, touched = st
+        assert not weights.flags.writeable and not touched.flags.writeable
 
 
 class TestNormalizedIncrement:

@@ -161,6 +161,12 @@ class TestFourier:
         assert abs(lhs - rhs) <= 1e-6
 
     @pytest.mark.parametrize("kid", ["psi1", "psi2", "triangle", "ou-exp", "ou-bessel"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, np.pi, 10.0])
+    def test_quadrature_matches_closed_abs2(self, kid, lam):
+        k = kernel_by_id(kid)
+        assert abs(abs(fourier(k, lam)) ** 2 - k.fourier_abs2(lam)) <= 1e-12
+
+    @pytest.mark.parametrize("kid", ["psi1", "psi2", "triangle", "ou-exp", "ou-bessel"])
     def test_high_frequency_decay(self, kid):
         k = kernel_by_id(kid)
         for lam in (1e3, 1e4):

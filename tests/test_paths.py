@@ -108,13 +108,11 @@ def test_self_similarity_marginals(family, extra, a):
     h = desc.self_similarity_index
     scaled_samples = np.empty(n_seeds)
     plain = np.empty(n_seeds)
-    k = int(round(4 / a))
     for s in range(n_seeds):
         p = simulate(desc, 5, a * t, s)
         scaled_samples[s] = p.values[-1] / a ** h
         q = simulate(desc, 5, t, 10 ** 6 + s)
         plain[s] = q.values[-1]
-        assert q.node_index(t * k / 4 * a) is not None or True
     d = ks_two_sample(EmpiricalMeasure.from_samples(scaled_samples),
                       EmpiricalMeasure.from_samples(plain))
     assert d < ks_critical_value(n_seeds, n_seeds, alpha=0.01)
