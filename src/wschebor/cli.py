@@ -134,8 +134,8 @@ class ExperimentConfig:
         if self.experiment in ("spectral-tables", "moment-rate") \
                 and spectral.unbounded_at_zero(kernel, self.hurst):
             raise ConfigError("hurst", f"the spectral density of {kernel.kernel_id!r} is "
-                                       f"unbounded at 0 for hurst {self.hurst:g}; "
-                                       "use a smaller hurst or a kernel in its class G_H")
+                                       f"unbounded at 0 for hurst {self.hurst:g} above "
+                                       f"its critical index {kernel.critical_hurst:g}")
         if self.experiment == "ou-match":
             if self.horizon <= max(OU_LAGS):
                 raise ConfigError("horizon", "must exceed the largest checked lag, "
@@ -342,7 +342,7 @@ def run_moment_rate(config):
     xs = [0.5, 0.75, 1.0, 1.5, 2.0]
     curve = ldp.moment_rate(dens, xs)
     metrics = []
-    if kernel.fourier_abs2 is not None and kernel.kernel_id.startswith("ou"):
+    if kernel.kernel_id.startswith("ou"):
         closed = [(x + 1.0 / x - 2.0) / 4.0 for x in xs]
         err = max(abs(v - c) for v, c in zip(curve.values, closed))
         metrics.append(metric("closed_form_error", err,
@@ -367,10 +367,14 @@ def run_moment_rate(config):
 def run_level_process(config):
     eps = config.epsilon
     s_count = config.s_count
-    dt = eps / (s_count - 1)
-    n = int(round((1.0 + eps) / dt)) + 1
-    src = simulate_brownian(n, 1.0 + eps, seed_split(config.seed, 0))
-    cloud = levelproc.extract_cloud(src, eps, config.t_count, s_count)
+
+    def cloud_at(epsilon, stream):
+        dt = epsilon / (s_count - 1)
+        n = int(round((1.0 + epsilon) / dt)) + 1
+        src = simulate_brownian(n, 1.0 + epsilon, seed_split(config.seed, stream))
+        return levelproc.extract_cloud(src, epsilon, config.t_count, s_count)
+
+    cloud = cloud_at(eps, 0)
     atom_sets = [
         [(1.0, 1.0)],
         [(0.5, 1.0)],
@@ -394,10 +398,7 @@ def run_level_process(config):
             "deviation": dev,
         })
     ball_eps = 2.0 ** -8
-    dt_b = ball_eps / (s_count - 1)
-    n_b = int(round((1.0 + ball_eps) / dt_b)) + 1
-    src_b = simulate_brownian(n_b, 1.0 + ball_eps, seed_split(config.seed, 1))
-    cloud_b = levelproc.extract_cloud(src_b, ball_eps, config.t_count, s_count)
+    cloud_b = cloud_at(ball_eps, 1)
     center = np.zeros(s_count)
     freq = levelproc.l2_ball_frequency(cloud_b, center, 1.0)
     oracle = levelproc.wiener_ball_probability(center, 1.0, s_count,

@@ -17,7 +17,7 @@ applied to independent replicas fully in parallel.
 import functools
 
 import numpy as np
-from scipy import signal
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import CoverageError, ParameterError, ResolutionError
 from .paths import GridPath
@@ -93,7 +93,7 @@ def _dpsi_stencil(kernel, epsilon, dt):
     nodes = np.array([loc for loc, _ in kernel.atoms], dtype=float)
     mass = np.array([w for _, w in kernel.atoms], dtype=float) / epsilon
     if kernel.density is not None:
-        c, d = kernel.density_support
+        c, d = kernel.support
         u, w = _trapezoid_pieces(kernel.density, c, d,
                                  kernel.density_breakpoints, dt / epsilon)
         nodes = np.concatenate([nodes, u])
@@ -118,6 +118,12 @@ def _dpsi_stencil(kernel, epsilon, dt):
     return o_min, weights, touched
 
 
+def correlate_valid(x, w):
+    """sum_k w[k] x[i + k] for every i where w fits inside x, by real FFTs."""
+    n = next_fast_len(x.size + w.size - 1, True)
+    return irfft(rfft(x, n) * rfft(w[::-1], n), n)[w.size - 1:x.size]
+
+
 def _apply_stencil(stencil, values, i0, i1):
     """Evaluate sum_k w_k X[i + k] for i in [i0, i1]."""
     o_min, weights, touched = stencil
@@ -131,7 +137,7 @@ def _apply_stencil(stencil, values, i0, i1):
             out += weights[o - o_min] * values[i0 + o:i0 + o + n_out]
         return out
     seg = values[i0 + o_min:i1 + o_max + 1]
-    return signal.fftconvolve(seg, weights[::-1], mode="valid")
+    return correlate_valid(seg, weights)
 
 
 def dot_increment(source, kernel, epsilon, window=(0.0, 1.0)):

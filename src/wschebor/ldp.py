@@ -265,8 +265,6 @@ def log_moment_generating(density, y):
     in the tiny tail values of the density.
     """
     m = density.sup_value
-    if not np.isfinite(m):
-        raise ParameterError("density has an infinite sup; no moment rate available")
     if y >= 1.0 / (4.0 * np.pi * m):
         raise ParameterError("y outside the domain of the cumulant integral")
     if y == 0.0:
@@ -292,8 +290,6 @@ def moment_rate(density, xs):
     if np.any(xs < 0):
         raise ParameterError("moment targets must be nonnegative")
     m = density.sup_value
-    if not np.isfinite(m):
-        raise ParameterError("density has an infinite sup; no moment rate available")
     y_max = 1.0 / (4.0 * np.pi * m)
     values = []
     for x in xs:

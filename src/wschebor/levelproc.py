@@ -128,11 +128,15 @@ def trapezoid_l2_distance(cloud, center):
     center = np.asarray(center, dtype=float)
     if center.shape != cloud.s_grid.shape:
         raise ParameterError("center must live on the cloud's s-grid")
-    diff2 = (cloud.snapshots - center[None, :]) ** 2
-    w = np.full(cloud.s_grid.size, cloud.s_grid[1] - cloud.s_grid[0])
+    return _trapezoid_l2(cloud.snapshots, center, cloud.s_grid[1] - cloud.s_grid[0])
+
+
+def _trapezoid_l2(rows, center, ds):
+    """Trapezoid L2 norm of each row of `rows` - `center` on a grid of step ds."""
+    w = np.full(center.size, ds)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return np.sqrt(diff2 @ w)
+    return np.sqrt(((rows - center[None, :]) ** 2) @ w)
 
 
 def l2_ball_frequency(cloud, center, radius):
@@ -168,11 +172,7 @@ def wiener_ball_probability(center, radius, s_count, n_paths, seed):
     ds = 1.0 / (s_count - 1)
     incs = rng.standard_normal((n_paths, s_count - 1)) * np.sqrt(ds)
     paths = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(incs, axis=1)], axis=1)
-    w = np.full(s_count, ds)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    dist = np.sqrt(((paths - center[None, :]) ** 2) @ w)
-    hits = dist < radius
+    hits = _trapezoid_l2(paths, center, ds) < radius
     p = float(np.mean(hits))
     se = float(np.sqrt(max(p * (1.0 - p), 1e-12) / n_paths))
     return WienerBallEstimate(probability=p, stderr=se, n_paths=n_paths)

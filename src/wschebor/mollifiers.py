@@ -61,20 +61,19 @@ class SignedKernel:
     atoms : tuple of (location, weight)
         Pure jump part of the derivative measure.
     density : callable or None
-        Absolutely continuous part of the derivative measure.
-    density_support : (float, float) or None
-        Finite interval carrying the density (exponential tails truncated
-        at EXP_TAIL_CUTOFF).
+        Absolutely continuous part of the derivative measure, carried on
+        `support`.
     density_breakpoints : tuple
         Interior discontinuities of the density; quadrature grids never
         straddle them.
-    fourier_abs2 : callable or None
+    fourier_abs2 : callable
         Numerically stable closed form for |psi_hat|^2, the only form in
         which the theory reads the transform; `fourier` gives psi_hat
         itself by quadrature.
-    bounded_variation : bool
-        Whether psi is of bounded variation (i.e. the atoms+density
-        decomposition is a faithful derivative).
+    critical_hurst : float
+        The index h* with psi_hat(lambda) ~ c |lambda|^{h* - 1/2} near 0,
+        read off `fourier_abs2`: the spectral density at Hurst index H is
+        bounded exactly when H <= h*.
     integrable : bool
         Whether psi is in L1.
     """
@@ -82,12 +81,11 @@ class SignedKernel:
     kernel_id: str
     psi: object
     support: tuple
+    fourier_abs2: object
+    critical_hurst: float
     atoms: tuple = ()
     density: object = None
-    density_support: tuple = None
     density_breakpoints: tuple = ()
-    fourier_abs2: object = None
-    bounded_variation: bool = True
     integrable: bool = True
     _norm_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -95,21 +93,16 @@ class SignedKernel:
 
     @property
     def has_derivative_measure(self):
-        return self.bounded_variation and (len(self.atoms) > 0 or self.density is not None)
+        return len(self.atoms) > 0 or self.density is not None
 
     def dpsi_hull(self):
         """Smallest interval containing every atom and the density support."""
-        los, his = [], []
-        if self.atoms:
-            locs = [a for a, _ in self.atoms]
-            los.append(min(locs))
-            his.append(max(locs))
+        ends = [a for a, _ in self.atoms]
         if self.density is not None:
-            los.append(self.density_support[0])
-            his.append(self.density_support[1])
-        if not los:
+            ends += self.support
+        if not ends:
             raise ParameterError(f"kernel {self.kernel_id!r} carries no derivative measure")
-        return min(los), max(his)
+        return min(ends), max(ends)
 
     # -- norms ----------------------------------------------------------------
 
@@ -187,6 +180,7 @@ def kernel_psi1():
         support=(-1.0, 0.0),
         atoms=((-1.0, 1.0), (0.0, -1.0)),
         fourier_abs2=ft_abs2,
+        critical_hurst=0.5,
     )
 
 
@@ -207,6 +201,7 @@ def kernel_psi2():
         support=(-1.0, 1.0),
         atoms=((-1.0, 0.5), (0.0, -1.0), (1.0, 0.5)),
         fourier_abs2=ft_abs2,
+        critical_hurst=1.5,
     )
 
 
@@ -230,9 +225,9 @@ def kernel_triangle():
         psi=psi,
         support=(-1.0, 1.0),
         density=density,
-        density_support=(-1.0, 1.0),
         density_breakpoints=(0.0,),
         fourier_abs2=ft_abs2,
+        critical_hurst=0.5,
     )
 
 
@@ -262,8 +257,8 @@ def kernel_ou_exponential():
         support=(0.0, EXP_TAIL_CUTOFF),
         atoms=((0.0, np.sqrt(2.0)),),
         density=density,
-        density_support=(0.0, EXP_TAIL_CUTOFF),
         fourier_abs2=ft_abs2,
+        critical_hurst=0.5,
     )
 
 
@@ -296,7 +291,7 @@ def kernel_ou_bessel():
         psi=kernel_ou_bessel_value,
         support=(-EXP_TAIL_CUTOFF, EXP_TAIL_CUTOFF),
         fourier_abs2=ft_abs2,
-        bounded_variation=False,
+        critical_hurst=0.5,
     )
 
 
@@ -355,7 +350,8 @@ def kernel_fbm_ou(hurst):
         psi=psi,
         support=(-np.inf, np.inf),
         fourier_abs2=ft_abs2,
-        bounded_variation=False,
+        # Stored as parsed: hurst - 1/2 + 1/2 need not give hurst back.
+        critical_hurst=hurst,
         integrable=(hurst == 0.5),
     )
 
@@ -388,59 +384,24 @@ def kernel_by_id(kernel_id):
 
 @dataclass(frozen=True)
 class KernelClassReport:
-    """Numerical class-membership evidence for a kernel.
-
-    in_G_H maps each queried Hurst index to True / False / None, None
-    meaning the low-frequency limit test was inconclusive.
-    """
+    """Class membership of a kernel; in_G_H maps each queried Hurst index to a bool."""
 
     kernel_id: str
     in_G: bool
     in_G_H: dict
     in_G0: bool
-    evidence: dict
-
-
-def _abs_fourier(kernel, lam):
-    if kernel.fourier_abs2 is not None:
-        return float(np.sqrt(kernel.fourier_abs2(lam)))
-    return abs(fourier(kernel, lam))
 
 
 def classify(kernel, hurst_list):
     """Membership in the BV+L1 class, the spectral-limit classes, and the
-    zero-mean finite-first-moment class.
+    zero-mean finite-first-moment class, read from the declared data.
 
-    The low-frequency limit of |psi_hat(lambda)| |lambda|^{1/2-H} is probed
-    along lambda = 2^{-k}, k = 10..40: Cauchy within 1e-6 declares the limit
-    to exist, a tenfold monotone blowup declares divergence, anything else
-    is reported as inconclusive (None).
+    psi is in G_H when |psi_hat(lambda)| |lambda|^{1/2-H} has a limit at 0,
+    that is when H <= h*.  A zero mean is psi_hat(0) = 0, that is h* > 1/2,
+    and a finite support gives the finite first moment.
     """
-    lams = 2.0 ** -np.arange(10, 41)
-    abs_ft = np.array([_abs_fourier(kernel, l) for l in lams])
-
-    in_g = bool(kernel.bounded_variation and kernel.integrable)
-
-    in_g_h = {}
-    evidence = {}
-    for h in hurst_list:
-        vals = abs_ft * lams ** (0.5 - h)
-        evidence[h] = vals
-        tail = vals[-10:]
-        if np.all(np.abs(np.diff(tail)) <= 1e-6):
-            in_g_h[h] = True
-        elif np.all(np.diff(vals) > 0) and vals[-1] > 10.0 * max(vals[0], 1e-300):
-            in_g_h[h] = False
-        else:
-            in_g_h[h] = None
-
-    in_g0 = False
-    if kernel.integrable:
-        if _abs_fourier(kernel, 0.0) < 1e-9:
-            a, b = kernel.support
-            a, b = max(a, -EXP_TAIL_CUTOFF), min(b, EXP_TAIL_CUTOFF)
-            moment, _ = integrate.quad(lambda t: np.abs(t * kernel.psi(t)), a, b, limit=400)
-            evidence["first_abs_moment"] = moment
-            in_g0 = bool(np.isfinite(moment))
-
-    return KernelClassReport(kernel.kernel_id, in_g, in_g_h, in_g0, evidence)
+    in_g = bool(kernel.has_derivative_measure and kernel.integrable)
+    in_g_h = {h: bool(h <= kernel.critical_hurst) for h in hurst_list}
+    in_g0 = bool(kernel.integrable and kernel.critical_hurst > 0.5
+                 and np.all(np.isfinite(kernel.support)))
+    return KernelClassReport(kernel.kernel_id, in_g, in_g_h, in_g0)

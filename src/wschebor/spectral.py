@@ -14,11 +14,11 @@ Everything here is a pure function of immutable inputs.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, signal
+from scipy import integrate, optimize
 
 from .errors import ParameterError, QuadratureError
-from .increments import unit_scale_process
-from .mollifiers import classify, hurst_normalizer_sq
+from .increments import correlate_valid, unit_scale_process
+from .mollifiers import hurst_normalizer_sq
 from .paths import seed_split, simulate_brownian
 
 HEAD_CUTOFF = 64.0
@@ -66,8 +66,10 @@ def _density_fn(kernel, hurst):
     c2 = hurst_normalizer_sq(hurst)
     abs2 = kernel.fourier_abs2
     expo = 1.0 - 2.0 * hurst
-    if hurst <= 0.5 and np.isfinite(abs2(0.0)):
-        at_zero = 0.0 if hurst < 0.5 else float(abs2(0.0) / c2)
+    # Below the critical index the density vanishes at 0; at it, the
+    # finite limit is read at 1e-300, since |psi_hat|^2 alone may be infinite at 0.
+    if hurst < kernel.critical_hurst:
+        at_zero = 0.0
     else:
         at_zero = float(abs2(1e-300) * 1e-300 ** expo / c2)
 
@@ -82,43 +84,36 @@ def _density_fn(kernel, hurst):
 def unbounded_at_zero(kernel, hurst):
     """Whether the kernel's spectral density at `hurst` is unbounded at 0.
 
-    The density blows up for a kernel outside the admissible low-frequency
-    class; an inconclusive classification is settled by comparing the
-    density at 1e-12 with its value at 1e-6.
+    Near 0 the density behaves like |lambda|^{2(h* - H)}, so it is bounded
+    exactly when `hurst` is at most the kernel's critical index h*.
     """
-    member = classify(kernel, [hurst]).in_G_H.get(hurst)
-    if member is None:
-        density = _density_fn(kernel, hurst)
-        return bool(density(1e-12) > 10.0 * density(1e-6))
-    return member is False
+    return hurst > kernel.critical_hurst
 
 
 def spectral_density(kernel, hurst):
     """Spectral density of the unit-scale increment process of the kernel.
 
     The supremum is located by a coarse log/linear scan refined with
-    bounded scalar minimization.  When `unbounded_at_zero` holds, the sup
-    and the variance are reported as +inf.
+    bounded scalar minimization.  A density that is unbounded at 0 is
+    refused with ParameterError.
     """
     if not 0.0 < hurst < 1.0:
         raise ParameterError("hurst must lie in (0, 1)")
-    if kernel.fourier_abs2 is None:
-        raise ParameterError(f"kernel {kernel.kernel_id!r} has no |psi_hat|^2 evaluator")
+    if unbounded_at_zero(kernel, hurst):
+        raise ParameterError(f"the spectral density of {kernel.kernel_id!r} is unbounded "
+                             f"at 0 for hurst {hurst:g} > {kernel.critical_hurst:g}")
     c2 = hurst_normalizer_sq(hurst)
     density = _density_fn(kernel, hurst)
 
-    if unbounded_at_zero(kernel, hurst):
-        sup_val = np.inf
-    else:
-        scan = np.unique(np.concatenate([np.linspace(1e-9, 20.0, 4001),
-                                         np.logspace(-9, 3, 500)]))
-        k = int(np.argmax(np.fromiter(map(density, scan), float, scan.size)))
-        lo = scan[max(k - 1, 0)]
-        hi = scan[min(k + 1, scan.size - 1)]
-        res = optimize.minimize_scalar(lambda l: -density(l),
-                                       bounds=(lo, hi), method="bounded",
-                                       options={"xatol": 1e-12})
-        sup_val = density(res.x)
+    scan = np.unique(np.concatenate([np.linspace(1e-9, 20.0, 4001),
+                                     np.logspace(-9, 3, 500)]))
+    k = int(np.argmax(np.fromiter(map(density, scan), float, scan.size)))
+    lo = scan[max(k - 1, 0)]
+    hi = scan[min(k + 1, scan.size - 1)]
+    res = optimize.minimize_scalar(lambda l: -density(l),
+                                   bounds=(lo, hi), method="bounded",
+                                   options={"xatol": 1e-12})
+    sup_val = density(res.x)
 
     # Integrals beyond the head cutoff.
     if kernel.atoms and kernel.density is None:
@@ -152,8 +147,7 @@ def spectral_density(kernel, hurst):
                                     limit=400)
 
     tail = cos_tail(0.0)
-    head = integrate.quad(density, 0.0, HEAD_CUTOFF, limit=800, points=[0.0])[0] \
-        if np.isfinite(sup_val) else np.inf
+    head = integrate.quad(density, 0.0, HEAD_CUTOFF, limit=800, points=[0.0])[0]
     variance = float(2.0 * (head + tail))
     return SpectralDensity(eval=density, sup_value=sup_val, variance=variance,
                            tail=tail, tail_sq=tail_sq, cos_tail=cos_tail)
@@ -161,8 +155,6 @@ def spectral_density(kernel, hurst):
 
 def covariance_from_density(density, t):
     """Covariance r(t) = 2 int_0^inf cos(t lambda) l(lambda) d lambda."""
-    if not np.isfinite(density.sup_value):
-        raise ParameterError("density is unbounded; covariance undefined at this scale")
     t = abs(float(t))
     if t == 0.0:
         return density.variance
@@ -188,7 +180,7 @@ def sigma_sq(kernel, hurst):
         for v, wv in atoms:
             total += wu * wv * abs(u - v) ** h2
     if kernel.density is not None:
-        c, d = kernel.density_support
+        c, d = kernel.support
         pts = sorted(set(kernel.density_breakpoints))
         for u, wu in atoms:
             cross, _ = integrate.quad(
@@ -255,7 +247,7 @@ def _filter_brownian_increments(half, weights, horizon, dt, seed, kernel_id):
     n_cells = int(round((horizon + 2 * half) / dt))
     rng = np.random.Generator(np.random.PCG64(seed))
     dw = rng.standard_normal(n_cells) * np.sqrt(dt)
-    vals = signal.fftconvolve(dw, weights[::-1], mode="valid")
+    vals = correlate_valid(dw, weights)
     from .paths import GridPath, ProcessDescriptor, BROWNIAN
     meta = {"descriptor": ProcessDescriptor(BROWNIAN, seed=seed),
             "kernel": kernel_id, "transform": "filter"}

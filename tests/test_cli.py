@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +162,25 @@ MALFORMED = {
     "moment-rate-unbounded-fbm-ou-at-half": ({"experiment": "moment-rate",
                                               "kernel_id": "fbm-ou:H=0.4",
                                               "hurst": 0.5}, [], "hurst:", 1),
+    # Just above the critical index h*, where a numerical probe of the
+    # density near 0 cannot see it grow.
+    "spectral-tables-psi1-at-0_51": ({"experiment": "spectral-tables", "kernel_id": "psi1",
+                                      "hurst": 0.51}, [], "hurst:", 1),
+    "spectral-tables-psi1-at-0_55": ({"experiment": "spectral-tables", "kernel_id": "psi1",
+                                      "hurst": 0.55}, [], "hurst:", 1),
+    "spectral-tables-triangle-at-0_55": ({"experiment": "spectral-tables",
+                                          "kernel_id": "triangle", "hurst": 0.55}, [],
+                                         "hurst:", 1),
+    "spectral-tables-fbm-ou-0_4-at-0_45": ({"experiment": "spectral-tables",
+                                            "kernel_id": "fbm-ou:H=0.4", "hurst": 0.45}, [],
+                                           "hurst:", 1),
+    "moment-rate-ou-exp-at-0_55": ({"experiment": "moment-rate", "kernel_id": "ou-exp",
+                                    "hurst": 0.55}, [], "hurst:", 1),
+    "moment-rate-psi1-at-0_51": ({"experiment": "moment-rate", "kernel_id": "psi1",
+                                  "hurst": 0.51}, [], "hurst:", 1),
+    "moment-rate-fbm-ou-0_3-at-0_35": ({"experiment": "moment-rate",
+                                        "kernel_id": "fbm-ou:H=0.3", "hurst": 0.35}, [],
+                                       "hurst:", 1),
     "tolerances-unknown-name": ({"experiment": "wschebor-check",
                                  "tolerances": {"ks_to_phy": 1e-9}}, [], "tolerances:", 1),
     "tolerances-other-experiments-name": ({"experiment": "stable-marginal",
@@ -272,6 +293,14 @@ class TestListing:
         lines = list_experiments().splitlines()
         assert len(lines) == 7
         assert len(EXPERIMENTS) == 7
+
+    def test_import_leaves_out_scipy_signal_and_stats(self):
+        # Each costs a large share of the import time and nothing uses them.
+        code = ("import sys, wschebor.cli; "
+                "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_json_listing(self):
         payload = json.loads(list_experiments(as_json=True))
@@ -453,7 +482,14 @@ class TestRun:
         pytest.param("spectral-tables", {"kernel_id": "fbm-ou:H=0.4", "hurst": 0.3},
                      id="spectral-tables-fbm-ou-hurst-0.3"),
         pytest.param("spectral-tables", {"kernel_id": "triangle", "hurst": 0.5},
-                     id="spectral-tables-triangle-hurst-0.5")])
+                     id="spectral-tables-triangle-hurst-0.5"),
+        # At the critical index h* the density is bounded, so these stay valid.
+        pytest.param("spectral-tables", {"kernel_id": "fbm-ou:H=0.1", "hurst": 0.1},
+                     id="spectral-tables-fbm-ou-0_1-at-0_1"),
+        pytest.param("spectral-tables", {"kernel_id": "fbm-ou:H=0.4", "hurst": 0.4},
+                     id="spectral-tables-fbm-ou-0_4-at-0_4"),
+        pytest.param("moment-rate", {"kernel_id": "psi2", "hurst": 0.9},
+                     id="moment-rate-psi2-at-0_9")])
     def test_outputs_are_strict_json_and_finite_csv(self, tmp_path, name, overrides):
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")

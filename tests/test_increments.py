@@ -6,6 +6,7 @@ from wschebor.errors import CoverageError, ParameterError, ResolutionError
 from wschebor.increments import (
     _dpsi_stencil,
     _trapezoid_pieces,
+    correlate_valid,
     dot_increment,
     dpsi_window,
     normalized_increment,
@@ -108,7 +109,7 @@ class TestDotIncrement:
         dt = eps / ratio
         nodes = [(-eps * loc / dt, w / eps) for loc, w in k.atoms]
         if k.density is not None:
-            u, w = _trapezoid_pieces(k.density, *k.density_support,
+            u, w = _trapezoid_pieces(k.density, *k.support,
                                      k.density_breakpoints, dt / eps)
             nodes += [(-eps * uj / dt, wj) for uj, wj in zip(u, w / eps)]
         ref = {}
@@ -129,6 +130,13 @@ class TestDotIncrement:
         for o, v in ref.items():
             dense[o - o_min] = v
         assert o_min == min(ref) and dense.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("n, m", [(100, 9), (1000, 377), (4097, 4097)])
+    def test_fft_correlation_matches_direct_sum(self, n, m):
+        rng = np.random.default_rng(n + m)
+        x, w = rng.standard_normal(n), rng.standard_normal(m)
+        ref = np.correlate(x, w, mode="valid")
+        assert np.max(np.abs(correlate_valid(x, w) - ref)) <= 1e-12 * np.sqrt(m)
 
     def test_stencil_is_cached_and_read_only(self):
         k = kernel_by_id("triangle")

@@ -82,9 +82,9 @@ class TestMomentRate:
         assert np.min(np.diff(curve.values, 2)) >= -1e-9
 
     def test_refuses_unbounded_density(self):
-        d = spectral_density(kernel_psi1(), 0.7)
+        # No density means no moment rate: the refusal comes before either.
         with pytest.raises(ParameterError):
-            moment_rate(d, [1.0])
+            spectral_density(kernel_psi1(), 0.7)
 
     def test_rejects_negative_targets(self):
         d = spectral_density(OU, 0.5)

@@ -30,7 +30,7 @@ def dpsi_total_mass(kernel):
     """Total mass of d psi: atoms exactly, density by quadrature."""
     total = sum(w for _, w in kernel.atoms)
     if kernel.density is not None:
-        val, _ = integrate.quad(kernel.density, *kernel.density_support, limit=200,
+        val, _ = integrate.quad(kernel.density, *kernel.support, limit=200,
                                 points=list(kernel.density_breakpoints) or None)
         total += val
     return total
@@ -40,7 +40,7 @@ def dpsi_fourier(kernel, lam):
     """int e^{i lam s} d psi(s), atoms exactly and density by quadrature."""
     total = sum(w * np.exp(1j * lam * loc) for loc, w in kernel.atoms)
     if kernel.density is not None:
-        a, b = kernel.density_support
+        a, b = kernel.support
         re, _ = integrate.quad(lambda s: kernel.density(s) * np.cos(lam * s), a, b, limit=400)
         im, _ = integrate.quad(lambda s: kernel.density(s) * np.sin(lam * s), a, b, limit=400)
         total += re + 1j * im
@@ -170,11 +170,7 @@ class TestFourier:
     def test_high_frequency_decay(self, kid):
         k = kernel_by_id(kid)
         for lam in (1e3, 1e4):
-            if k.fourier_abs2 is not None:
-                val = np.sqrt(k.fourier_abs2(lam))
-            else:
-                val = abs(fourier(k, lam))
-            assert val <= 4.0 / lam
+            assert np.sqrt(k.fourier_abs2(lam)) <= 4.0 / lam
 
 
 class TestClassify:
@@ -199,10 +195,6 @@ class TestClassify:
             rep = classify(kernel_by_id(kid), hs)
             if rep.in_G0:
                 assert all(rep.in_G_H[h] is True for h in hs), kid
-
-    def test_evidence_is_reported(self):
-        rep = classify(kernel_psi2(), [0.5])
-        assert len(rep.evidence[0.5]) == 31
 
 
 def test_kernel_registry():

@@ -15,6 +15,7 @@ from wschebor.spectral import (
     covariance_from_density,
     sigma_sq,
     spectral_density,
+    unbounded_at_zero,
     verify_ou_match,
 )
 
@@ -66,9 +67,8 @@ class TestSpectralDensity:
             assert d.eval(1e4) < 1e-6
 
     def test_discontinuous_at_zero_above_half(self):
-        d = spectral_density(kernel_psi1(), 0.7)
-        assert not np.isfinite(d.sup_value)
-        assert d.sup_value == np.inf
+        with pytest.raises(ParameterError):
+            spectral_density(kernel_psi1(), 0.7)
 
     def test_admissible_kernel_above_half(self):
         d = spectral_density(kernel_psi2(), 0.9)
@@ -87,6 +87,29 @@ class TestSpectralDensity:
         assert spectral_density(kernel_psi2(), 0.7).eval(0.0) == 0.0
 
 
+# The critical Hurst index h* of each named kernel: psi_hat ~ c |lambda|^{h* - 1/2}.
+CRITICAL_HURST = {"psi1": 0.5, "psi2": 1.5, "triangle": 0.5, "ou-exp": 0.5,
+                  "ou-bessel": 0.5, "fbm-ou:H=0.1": 0.1, "fbm-ou:H=0.4": 0.4,
+                  "fbm-ou:H=0.5": 0.5}
+
+
+@pytest.mark.parametrize("kid, hurst", [
+    pytest.param(kid, h, id=f"{kid.replace('.', '_')}-{where}")
+    for kid, h_star in CRITICAL_HURST.items()
+    for where, h in (("below", h_star - 1e-3), ("at", h_star), ("above", h_star + 1e-3))
+    if 0.0 < h < 1.0])
+def test_unbounded_at_zero_is_exact(kid, hurst):
+    kernel = kernel_by_id(kid)
+    unbounded = hurst > CRITICAL_HURST[kid]
+    assert unbounded_at_zero(kernel, hurst) == unbounded
+    # The closed form agrees: from lambda = 1e-6 down to 1e-250 the density
+    # grows by 10^(488 (hurst - h*)), about 3 at hurst = h* + 1e-3.
+    expo = 1.0 - 2.0 * hurst
+    growth = kernel.fourier_abs2(1e-250) * 1e-250 ** expo \
+        / (kernel.fourier_abs2(1e-6) * 1e-6 ** expo)
+    assert bool(growth > 2.0) == unbounded
+
+
 class TestCovariance:
     def test_slepian_triangle(self):
         d = spectral_density(kernel_psi1(), 0.5)
@@ -103,9 +126,10 @@ class TestCovariance:
         assert abs(covariance_from_density(d, 0.0) - 1.0) < 1e-9
 
     def test_refuses_unbounded_density(self):
-        d = spectral_density(kernel_psi1(), 0.7)
-        with pytest.raises(ParameterError):
-            covariance_from_density(d, 0.5)
+        # Just above the critical index the density grows slowly toward 0.
+        for kid, hurst in (("psi1", 0.51), ("triangle", 0.55), ("fbm-ou:H=0.4", 0.45)):
+            with pytest.raises(ParameterError):
+                spectral_density(kernel_by_id(kid), hurst)
 
 
 class TestSigmaSq:
