@@ -11,7 +11,6 @@ check under --strict, 3 internal error.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -21,7 +20,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +31,8 @@ from . import ldp, levelproc, measures, mollifiers, spectral
 from .errors import ConfigError, WscheborError
 from .increments import MIN_EPS_OVER_DT, dpsi_window, normalized_increment
 from .mollifiers import bessel_k0, kernel_by_id
-from .paths import (ProcessDescriptor, seed_split, simulate, simulate_brownian,
-                    standard_stable)
+from .paths import (ProcessDescriptor, brownian_paths, seed_split, simulate,
+                    simulate_brownian, standard_stable)
 
 
 def run_replicas(fn, replicas, master_seed, threads=1):
@@ -231,13 +230,22 @@ def _occupation_grid(kernel, eps, grid_n):
     return k_lo / grid_n, k_hi / grid_n, k_hi - k_lo + 1
 
 
-def _occupation_ks(kernel, eps, seed, grid_n):
-    lo, hi, n = _occupation_grid(kernel, eps, grid_n)
-    src = simulate_brownian(n, hi - lo, seed, t_start=lo)
-    inc = normalized_increment(src, kernel, eps, window=(0.0, 1.0))
-    mu = measures.occupation_measure(inc)
+def _occupation_ks(kernel, epsilons, seed, grid_n):
+    """(KS distance to the Gaussian limit, occupation measure) at each epsilon.
+
+    One Brownian draw serves every scale: each scale's source path sums
+    the first normals of the seed's stream, scaled by its own grid step,
+    so it is the path a separate simulation with that seed would give.
+    """
+    grids = [_occupation_grid(kernel, eps, grid_n) for eps in epsilons]
+    sources = brownian_paths([(n, hi - lo, lo) for lo, hi, n in grids], seed)
     scale = kernel.norm(2)
-    return measures.ks_distance(mu, lambda x: special.ndtr(x / scale)), mu
+    out = []
+    for eps, src in zip(epsilons, sources):
+        inc = normalized_increment(src, kernel, eps, window=(0.0, 1.0))
+        mu = measures.occupation_measure(inc)
+        out.append((measures.ks_distance(mu, lambda x: special.ndtr(x / scale)), mu))
+    return out
 
 
 @experiment("wschebor-check",
@@ -248,8 +256,8 @@ def run_wschebor_check(config):
     tol = config.tolerance("ks_to_phi", 0.05)
 
     def one(i, seed):
-        ks_a, mu = _occupation_ks(kernel, config.epsilon, seed, config.grid_n)
-        ks_b, _ = _occupation_ks(kernel, config.epsilon / 4.0, seed, config.grid_n)
+        (ks_a, mu), (ks_b, _) = _occupation_ks(
+            kernel, (config.epsilon, config.epsilon / 4.0), seed, config.grid_n)
         return ks_a, ks_b, mu if i == 0 else None
 
     results = run_replicas(one, config.replicas, config.seed, config.threads)
@@ -342,7 +350,9 @@ def run_moment_rate(config):
     xs = [0.5, 0.75, 1.0, 1.5, 2.0]
     curve = ldp.moment_rate(dens, xs)
     metrics = []
-    if kernel.kernel_id.startswith("ou"):
+    # |psi_hat|^2 of these kernels is |lambda|^(2 h* - 1) times the OU shape
+    # 2 / (1 + lambda^2), so their density is the OU density exactly at h*.
+    if kernel.kernel_id.startswith(("ou-", "fbm-ou:")) and config.hurst == kernel.critical_hurst:
         closed = [(x + 1.0 / x - 2.0) / 4.0 for x in xs]
         err = max(abs(v - c) for v, c in zip(curve.values, closed))
         metrics.append(metric("closed_form_error", err,
@@ -568,8 +578,40 @@ def _write_outputs(out, results, elapsed, tables):
                 fh.write("\n")
             continue
         with open(out / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerows(rows)
+            _write_csv(fh, rows)
+
+
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_cell(value):
+    """One cell as csv.writer's default dialect writes it: str(), quoted if needed."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(fh, rows):
+    """Write rows (tuples of strings and numbers) with the bytes csv.writer writes.
+
+    That is minimal quoting and CRLF line ends; only a row of one empty
+    string, which csv.writer writes as "", comes out empty.  Rows are
+    streamed in blocks: a block whose cells are all strings free of commas,
+    quotes and line breaks, which the separator counts of its joined text
+    show, is written as joined; any other block is redone cell by cell.
+    """
+    rows = iter(rows)
+    while block := list(islice(rows, CSV_BLOCK_ROWS)):
+        try:
+            text = "\r\n".join(map(",".join, block))
+        except TypeError:  # a cell that is not a string
+            text = None
+        if text is None or not (text.count(",") == sum(map(len, block)) - len(block)
+                                and text.count("\n") == text.count("\r") == len(block) - 1
+                                and '"' not in text):
+            text = "\r\n".join(",".join(map(_csv_cell, row)) for row in block)
+        fh.write(text + "\r\n")
 
 
 def list_experiments(as_json=False):

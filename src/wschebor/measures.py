@@ -24,11 +24,13 @@ from .errors import CoverageError, ParameterError
 class EmpiricalMeasure:
     """Weighted point masses on the real line, sorted by location.
 
-    Points are sorted with numpy's default (unstable, vectorized) argsort.
-    Distinct points have exactly one sorting permutation, so the result is
-    the same as a stable sort's; when the sorted points hold a tie (or a
-    NaN, which compares unequal to itself) the sort is redone stably, so
-    tied points always keep their input order together with their weights.
+    The points are sorted by value.  Distinct points have exactly one
+    sorted position each, so every weight that differs from the bulk value
+    (the middle input weight) is placed at its point's position by binary
+    search, and the result is the same as a stable sort's.  When the sorted
+    points hold a tie (or a NaN, which compares unequal to itself) they are
+    sorted again by a stable argsort, so tied points keep their input order
+    together with their weights.
     """
 
     points: np.ndarray
@@ -42,13 +44,19 @@ class EmpiricalMeasure:
             raise ParameterError("points and weights must be 1-d arrays of equal length")
         if np.any(wts < 0):
             raise ParameterError("weights must be nonnegative")
-        order = np.argsort(pts)
-        srt = pts[order]
-        if srt.size and (np.any(srt[1:] == srt[:-1]) or np.isnan(srt[-1])):
+        srt = np.sort(pts)
+        if srt.size == 0 or np.any(srt[1:] == srt[:-1]) or np.isnan(srt[-1]):
             order = np.argsort(pts, kind="stable")
-            srt = pts[order]
+            srt, wts = pts[order], wts[order]
+        else:
+            # Compared and copied as bit patterns, so -0.0 and NaN weights move intact.
+            bits = wts.view(np.uint64)
+            bulk = bits[bits.size // 2]
+            odd = np.flatnonzero(bits != bulk)
+            placed = np.full(bits.size, bulk)
+            placed[np.searchsorted(srt, pts[odd])] = bits[odd]
+            wts = placed.view(float)
         pts = srt
-        wts = wts[order]
         pts.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -106,20 +114,28 @@ def ks_distance(mu, target_cdf):
 
     Valid for discontinuous targets too: left limits of the target are
     probed just below each support point.  Relies on `mu.points` being
-    sorted, as every EmpiricalMeasure's are: tied points are pooled by
-    summing the weights of each run of equal values.
+    sorted, as every EmpiricalMeasure's are: tied points, if any, are pooled
+    by summing the weights of each run of equal values.
     """
     if not mu.is_probability():
         raise ParameterError("Kolmogorov-Smirnov needs a probability measure")
-    first = np.flatnonzero(np.concatenate(([True], mu.points[1:] != mu.points[:-1])))
-    points = mu.points[first]
-    weights = np.add.reduceat(mu.weights, first)
+    points, weights = mu.points, mu.weights
+    ties = points[1:] == points[:-1]
+    if ties.any():
+        first = np.flatnonzero(np.concatenate(([True], ~ties)))
+        points = points[first]
+        weights = np.add.reduceat(weights, first)
     cum = np.cumsum(weights)
-    cum_prev = np.concatenate(([0.0], cum[:-1]))
     targets = np.asarray(target_cdf(points), dtype=float)
     targets_left = np.asarray(target_cdf(np.nextafter(points, -np.inf)), dtype=float)
-    return float(np.max(np.maximum(np.abs(cum - targets),
-                                   np.abs(cum_prev - targets_left))))
+    # Both gaps pass through one buffer, since fresh temporaries of this
+    # size cost more than the arithmetic: first |F - target| at each point,
+    # then |F(left limit) - target(left limit)| with F(x_0-) = 0.
+    gap = np.subtract(cum, targets)
+    upper = np.abs(gap, out=gap).max()
+    np.subtract(cum[:-1], targets_left[1:], out=gap[1:])
+    gap[0] = 0.0 - targets_left[0]
+    return float(np.maximum(upper, np.abs(gap, out=gap).max()))
 
 
 def ks_two_sample(mu, nu):

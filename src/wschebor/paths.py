@@ -8,6 +8,7 @@ bit for bit, and instances are immutable, so paths can be shared and
 generated in parallel without coordination.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 
@@ -126,13 +127,35 @@ def _rng(seed):
 
 def simulate_brownian(n, horizon, seed, t_start=0.0):
     """Standard Brownian motion: n samples on [t_start, t_start + horizon], W(t_start) = 0."""
-    _check_grid_args(n, horizon)
-    dt = horizon / (n - 1)
-    rng = _rng(seed)
-    incs = rng.standard_normal(n - 1) * np.sqrt(dt)
-    values = np.concatenate(([0.0], np.cumsum(incs)))
+    return brownian_paths([(n, horizon, t_start)], seed)[0]
+
+
+def brownian_paths(grids, seed):
+    """Brownian paths on several grids (n, horizon, t_start) from one draw.
+
+    Path k has the values sqrt(dt_k) * cumsum(Z[:n_k - 1]), preceded by 0,
+    where Z is the seed's stream of standard normals.  numpy's Generator
+    draws and cumsum are sequential, so each path equals
+    simulate_brownian(n_k, horizon_k, seed, t_start_k) bit for bit, while
+    the normals are drawn once, into the longest path.
+    """
+    for n, horizon, _ in grids:
+        _check_grid_args(n, horizon)
+    longest = max(range(len(grids)), key=lambda k: grids[k][0])
+    draws = np.empty(grids[longest][0])
+    draws[0] = 0.0
+    _rng(seed).standard_normal(out=draws[1:])
     meta = {"descriptor": ProcessDescriptor(BROWNIAN, seed=seed)}
-    return GridPath(t_start, dt, values, meta)
+    paths = [None] * len(grids)
+    # The longest path is scaled in place, so it goes last.
+    for k in sorted(range(len(grids)), key=lambda k: k == longest):
+        n, horizon, t_start = grids[k]
+        dt = horizon / (n - 1)
+        values = draws if k == longest else draws[:n].copy()
+        values[1:] *= np.sqrt(dt)
+        np.cumsum(values[1:], out=values[1:])
+        paths[k] = GridPath(t_start, dt, values, dict(meta))
+    return paths
 
 
 def standard_stable(alpha, rng, size):
@@ -194,35 +217,46 @@ def _circulant_eigenvalues(m, hurst):
     return np.fft.rfft(circ).real
 
 
-def fgn_batch(m, hurst, rng, replicas=1):
-    """Unit-grid fractional Gaussian noise, shape (replicas, m).
+@functools.lru_cache(maxsize=8)
+def _circulant_sqrt_eigenvalues(m, hurst):
+    """Square roots of the circulant embedding's eigenvalues, read-only and cached.
 
-    Circulant embedding of the increment covariance (Davies-Harte).  The
-    embedding is nonnegative definite for every H (Craigmile 2003), so
+    The embedding is nonnegative definite for every H (Craigmile 2003), so
     eigenvalues down to -1e-10 of the largest are roundoff and clipped to
     0; anything more negative raises SynthesisError.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ParameterError("hurst must lie in (0, 1)")
-    if hurst == 0.5 or m == 1:
-        return rng.standard_normal((replicas, m))
     eig = _circulant_eigenvalues(m, hurst)
     if np.min(eig) < -1e-10 * np.max(eig):
         raise SynthesisError(
             f"circulant embedding is not nonnegative definite: smallest/largest "
             f"eigenvalue {np.min(eig) / np.max(eig):.2e} at m={m}, hurst={hurst:g}")
-    eig = np.clip(eig, 0.0, None)
+    root = np.sqrt(np.clip(eig, 0.0, None))
+    root.flags.writeable = False
+    return root
+
+
+def fgn_batch(m, hurst, rng, replicas=1):
+    """Unit-grid fractional Gaussian noise, shape (replicas, m).
+
+    Circulant embedding of the increment covariance (Davies-Harte), with
+    the embedding's spectrum built once per (m, hurst).
+    """
+    if not 0.0 < hurst < 1.0:
+        raise ParameterError("hurst must lie in (0, 1)")
+    if hurst == 0.5 or m == 1:
+        return rng.standard_normal((replicas, m))
+    root = _circulant_sqrt_eigenvalues(m, hurst)
     mm = 2 * (m - 1)
     # Hermitian-symmetric complex Gaussian spectrum in rfft layout;
     # endpoints are real, interior bins are complex of unit variance.
-    n_freq = eig.size
+    n_freq = root.size
     a = rng.standard_normal((replicas, n_freq))
     b = rng.standard_normal((replicas, n_freq))
     spec = np.empty((replicas, n_freq), dtype=complex)
     spec[:, 0] = a[:, 0]
     spec[:, -1] = a[:, -1]
     spec[:, 1:-1] = (a[:, 1:-1] + 1j * b[:, 1:-1]) / np.sqrt(2.0)
-    out = np.fft.irfft(np.sqrt(eig) * spec, n=mm, axis=1)
+    out = np.fft.irfft(root * spec, n=mm, axis=1)
     return out[:, :m] * np.sqrt(mm)
 
 

@@ -226,9 +226,6 @@ class OuMatchReport:
     horizon: float
     checks: list
 
-    def within(self, n_se=4.0):
-        return all(c.deviation <= n_se * c.stderr for c in self.checks)
-
 
 def _filter_weights(kernel, dt):
     """Midpoint samples of psi for filtering white noise, built once per run.

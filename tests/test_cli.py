@@ -6,13 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
-from wschebor import discrete
+from wschebor import discrete, measures
 from wschebor.cli import (
+    CSV_BLOCK_ROWS,
     EXPERIMENTS,
     TOLERANCES,
     ExperimentConfig,
+    _occupation_grid,
     _occupation_ks,
+    _write_csv,
     list_experiments,
     main,
     metric,
@@ -21,8 +25,10 @@ from wschebor.cli import (
     seed_split,
 )
 from wschebor.errors import ConfigError
+from wschebor.increments import normalized_increment
 from wschebor.measures import ks_critical_value
 from wschebor.mollifiers import kernel_by_id
+from wschebor.paths import brownian_paths, simulate_brownian
 
 FAST_CONFIGS = {
     "wschebor-check": {"grid_n": 2 ** 13, "replicas": 2, "epsilon": 2.0 ** -7},
@@ -38,6 +44,21 @@ FAST_CONFIGS = {
 def small_config(name, **overrides):
     body = {"experiment": name, "seed": 7, **FAST_CONFIGS[name], **overrides}
     return ExperimentConfig.from_dict(body)
+
+
+def separate_occupation(kernel, eps, seed, grid_n):
+    """(KS, occupation measure) at one scale, from a Brownian path of its own."""
+    lo, hi, n = _occupation_grid(kernel, eps, grid_n)
+    src = simulate_brownian(n, hi - lo, seed, t_start=lo)
+    mu = measures.occupation_measure(normalized_increment(src, kernel, eps))
+    scale = kernel.norm(2)
+    return measures.ks_distance(mu, lambda x: special.ndtr(x / scale)), mu
+
+
+def csv_writer_bytes(rows):
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(rows)
+    return expected.getvalue()
 
 
 class TestSeedSplit:
@@ -391,13 +412,76 @@ class TestRun:
     def test_occupation_csv_matches_per_value_formatting(self, tmp_path):
         cfg = small_config("wschebor-check")
         run(cfg, output_dir=tmp_path)
-        _, mu = _occupation_ks(kernel_by_id(cfg.kernel_id), cfg.epsilon,
-                               seed_split(cfg.seed, 0), cfg.grid_n)
-        expected = io.StringIO(newline="")
-        csv.writer(expected).writerows([("value", "weight")] + [
+        _, mu = separate_occupation(kernel_by_id(cfg.kernel_id), cfg.epsilon,
+                                    seed_split(cfg.seed, 0), cfg.grid_n)
+        expected = csv_writer_bytes([("value", "weight")] + [
             (repr(float(v)), repr(float(w))) for v, w in zip(mu.points, mu.weights)])
         with open(tmp_path / "occupation_first_replica.csv", newline="") as fh:
-            assert fh.read() == expected.getvalue()
+            assert fh.read() == expected
+
+    @pytest.mark.parametrize("kernel_id", ["psi1", "psi2", "triangle", "ou-exp"])
+    @pytest.mark.parametrize("grid_n, eps", [(2 ** 13, 2.0 ** -7), (1000, 0.1)])
+    def test_one_draw_serves_both_scales(self, kernel_id, grid_n, eps):
+        # Grid 1000 gives the two scales steps that differ in the last bit.
+        kernel = kernel_by_id(kernel_id)
+        seed = seed_split(3, 0)
+        grids = [_occupation_grid(kernel, e, grid_n) for e in (eps, eps / 4.0)]
+        sources = brownian_paths([(n, hi - lo, lo) for lo, hi, n in grids], seed)
+        for (lo, hi, n), src in zip(grids, sources):
+            alone = simulate_brownian(n, hi - lo, seed, t_start=lo)
+            assert np.array_equal(src.values.view(np.int64), alone.values.view(np.int64))
+            assert (src.t_start, src.dt) == (alone.t_start, alone.dt)
+        both = _occupation_ks(kernel, (eps, eps / 4.0), seed, grid_n)
+        for scale, (ks, mu) in zip((eps, eps / 4.0), both):
+            ks_alone, mu_alone = separate_occupation(kernel, scale, seed, grid_n)
+            assert ks == ks_alone
+            assert np.array_equal(mu.points.view(np.int64), mu_alone.points.view(np.int64))
+            assert np.array_equal(mu.weights.view(np.int64), mu_alone.weights.view(np.int64))
+
+    @pytest.mark.parametrize("name", sorted(FAST_CONFIGS))
+    def test_csv_writer_matches_csv_module(self, name):
+        fn, _ = EXPERIMENTS[name]
+        _, tables = fn(small_config(name))
+        csv_tables = {k: list(rows) for k, rows in tables.items() if k.endswith(".csv")}
+        assert csv_tables
+        for rows in csv_tables.values():
+            out = io.StringIO(newline="")
+            _write_csv(out, rows)
+            assert out.getvalue() == csv_writer_bytes(rows)
+
+    def test_csv_writer_quotes_like_csv_module(self):
+        special_rows = [("a,b", 'say "hi"'), ("line\nbreak", "cr\r"), (1, 2.5), (True, "x")]
+        plain = [(repr(0.1 * k), str(k)) for k in range(2 * CSV_BLOCK_ROWS)]
+        cases = [[], special_rows, plain,
+                 plain + special_rows + plain,
+                 [("x", "y", "z"), ("1",), ("2", "3"), (np.float64(0.1), np.int64(4))],
+                 [("a\r\nb", "c"), ("d", "e")], [('say "hi"', "x")],
+                 [(json.dumps([[0.5, 1.0]]), "0.5")]]
+        for rows in cases:
+            out = io.StringIO(newline="")
+            _write_csv(out, iter(rows))
+            assert out.getvalue() == csv_writer_bytes(rows), rows[:3]
+
+    @pytest.mark.parametrize("kernel_id, hurst, checked", [
+        ("ou-exp", 0.5, True),
+        ("ou-bessel", 0.5, True),
+        ("fbm-ou:H=0.3", 0.3, True),
+        # The unit-scale process is OU only at hurst h*; elsewhere there is no closed form.
+        ("ou-exp", 0.3, False),
+        ("ou-bessel", 0.3, False),
+        ("ou-exp", 0.45, False),
+        ("fbm-ou:H=0.3", 0.2, False),
+        ("psi1", 0.5, False)])
+    def test_moment_rate_closed_form_only_for_ou_density(self, tmp_path, kernel_id, hurst,
+                                                         checked):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "moment-rate", "kernel_id": kernel_id,
+                                        "hurst": hurst}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--output", str(out), "--strict"]) == 0
+        res = json.loads((out / "results.json").read_text())
+        names = [m["name"] for m in res["metrics"]]
+        assert ("closed_form_error" in names) == checked
 
     def test_wschebor_check_non_dyadic_grid(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -63,6 +63,40 @@ class TestEmpiricalMeasure:
         assert np.array_equal(m.weights.view(np.int64), wts[order].view(np.int64))
 
 
+    @pytest.mark.parametrize("points", ["distinct", "ties", "signed-zeros", "one-signed-zero",
+                                        "nan"])
+    @pytest.mark.parametrize("weights", ["trapezoid", "uniform", "random", "odd-bits"])
+    def test_value_sort_matches_stable_argsort(self, points, weights):
+        rng = np.random.default_rng(8)
+        raw = rng.standard_normal(3001)
+        if points == "ties":
+            raw = np.round(raw, 1)
+        elif points == "signed-zeros":
+            raw[[5, 700, 2000]] = [0.0, -0.0, 0.0]
+        elif points == "one-signed-zero":
+            raw[700] = -0.0
+        elif points == "nan":
+            raw[[3, 1500]] = np.nan
+        wts = {"trapezoid": np.full(raw.size, 0.25), "uniform": np.full(raw.size, 1.0 / raw.size),
+               "random": rng.random(raw.size), "odd-bits": np.zeros(raw.size)}[weights]
+        if weights == "trapezoid":
+            wts[[0, -1]] *= 0.5
+        elif weights == "odd-bits":
+            # -0.0 equals the bulk value 0.0 but must keep its sign bit.
+            wts[[0, 9, 2000]] = [-0.0, np.nan, 0.5]
+        m = EmpiricalMeasure(raw, wts)
+        order = np.argsort(raw, kind="stable")
+        assert np.array_equal(m.points.view(np.int64), raw[order].view(np.int64))
+        assert np.array_equal(m.weights.view(np.int64), wts[order].view(np.int64))
+        assert not (m.points.flags.writeable or m.weights.flags.writeable)
+
+    def test_empty_and_single_point(self):
+        empty = EmpiricalMeasure(np.array([]), np.array([]))
+        assert empty.points.size == empty.weights.size == 0
+        one = EmpiricalMeasure(np.array([3.0]), np.array([1.0]))
+        assert one.points.tolist() == [3.0] and one.weights.tolist() == [1.0]
+
+
 class TestOccupation:
     def test_constant_path_is_point_mass(self):
         p = GridPath(0.0, 0.01, np.full(101, 3.0))
@@ -132,6 +166,25 @@ class TestKolmogorovSmirnov:
         # The reduction by np.unique that ks_distance used before it relied
         # on the points being sorted.
         points, first = np.unique(m.points, return_index=True)
+        cum = np.cumsum(np.add.reduceat(m.weights, first))
+        cum_prev = np.concatenate(([0.0], cum[:-1]))
+        reference = float(np.max(np.maximum(
+            np.abs(cum - PHI(points)),
+            np.abs(cum_prev - PHI(np.nextafter(points, -np.inf))))))
+        assert ks_distance(m, PHI) == reference
+
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_matches_pooled_reference(self, decimals):
+        rng = np.random.default_rng(6)
+        raw = rng.standard_normal(20000)
+        if decimals is not None:
+            raw = np.round(raw, decimals)
+        wts = rng.random(raw.size)
+        m = EmpiricalMeasure(raw, wts / wts.sum())
+        # Every run of equal points pooled, whether or not the support has ties.
+        first = np.flatnonzero(np.concatenate(([True], m.points[1:] != m.points[:-1])))
+        points = m.points[first]
         cum = np.cumsum(np.add.reduceat(m.weights, first))
         cum_prev = np.concatenate(([0.0], cum[:-1]))
         reference = float(np.max(np.maximum(

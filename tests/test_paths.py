@@ -6,6 +6,7 @@ from wschebor.measures import ks_critical_value, ks_two_sample, EmpiricalMeasure
 from wschebor.paths import (
     GridPath,
     ProcessDescriptor,
+    brownian_paths,
     fbm_covariance,
     fgn_batch,
     simulate,
@@ -42,6 +43,32 @@ def test_brownian_determinism():
     assert np.array_equal(a.values, b.values)
     c = simulate_brownian(4096, 1.0, 124)
     assert not np.array_equal(a.values, c.values)
+
+
+def _reference_brownian(n, horizon, seed):
+    """Values of a Brownian path drawn and summed in one go."""
+    dt = horizon / (n - 1)
+    incs = np.random.Generator(np.random.PCG64(seed)).standard_normal(n - 1) * np.sqrt(dt)
+    return np.concatenate(([0.0], np.cumsum(incs)))
+
+
+@pytest.mark.parametrize("n, horizon", [(2, 1.0), (4097, 1.0), (1043, 1.043), (5001, 5.0)])
+def test_brownian_matches_reference_draw(n, horizon):
+    p = simulate_brownian(n, horizon, 11, t_start=-0.25)
+    assert np.array_equal(p.values.view(np.int64),
+                          _reference_brownian(n, horizon, 11).view(np.int64))
+    assert p.t_start == -0.25 and p.dt == horizon / (n - 1)
+
+
+def test_brownian_grids_match_separate_draws():
+    # Grids with equal and with different steps, the longest one in the middle.
+    grids = [(1001, 1.0, 0.0), (1203, 1.203, -0.102), (1026, 1.025, -0.017), (2, 0.5, 3.0)]
+    paths = brownian_paths(grids, 42)
+    for (n, horizon, t_start), p in zip(grids, paths):
+        alone = simulate_brownian(n, horizon, 42, t_start)
+        assert np.array_equal(p.values.view(np.int64), alone.values.view(np.int64))
+        assert (p.t_start, p.dt) == (alone.t_start, alone.dt)
+        assert p.meta["descriptor"] == alone.meta["descriptor"]
 
 
 def test_brownian_rejects_bad_grid():
@@ -194,11 +221,31 @@ def test_circulant_embedding_nonnegative_near_one(m, hurst):
     assert np.min(eig) / np.max(eig) >= -1e-10
 
 
+@pytest.mark.parametrize("m, hurst", [(8, 0.7), (1000, 0.3), (4096, 0.85)])
+def test_fgn_cached_spectrum_keeps_draws(m, hurst):
+    # The spectrum is built once per (m, hurst); draws match a fresh build bit for bit.
+    import wschebor.paths as paths_mod
+    eig = np.clip(paths_mod._circulant_eigenvalues(m, hurst), 0.0, None)
+    rng = np.random.Generator(np.random.PCG64(9))
+    a, b = rng.standard_normal((2, 3, eig.size))
+    spec = np.empty((3, eig.size), dtype=complex)
+    spec[:, 0], spec[:, -1] = a[:, 0], a[:, -1]
+    spec[:, 1:-1] = (a[:, 1:-1] + 1j * b[:, 1:-1]) / np.sqrt(2.0)
+    mm = 2 * (m - 1)
+    reference = np.fft.irfft(np.sqrt(eig) * spec, n=mm, axis=1)[:, :m] * np.sqrt(mm)
+    for _ in range(2):
+        draws = fgn_batch(m, hurst, np.random.Generator(np.random.PCG64(9)), replicas=3)
+        assert np.array_equal(draws.view(np.int64), reference.view(np.int64))
+    assert not paths_mod._circulant_sqrt_eigenvalues(m, hurst).flags.writeable
+
+
 def test_fgn_negative_spectrum_raises(monkeypatch):
     import wschebor.paths as paths_mod
     real = paths_mod._circulant_eigenvalues
     monkeypatch.setattr(paths_mod, "_circulant_eigenvalues",
                         lambda m, h: real(m, h) - 1e3)
+    # A spectrum cached by an earlier draw at this (m, hurst) would hide the patch.
+    paths_mod._circulant_sqrt_eigenvalues.cache_clear()
     with pytest.raises(SynthesisError):
         fgn_batch(8, 0.7, np.random.default_rng(0), replicas=4)
 
