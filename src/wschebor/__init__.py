@@ -10,8 +10,6 @@ associated large-deviation rate functions.
 from .errors import (
     ConfigError,
     CoverageError,
-    DegenerateEstimatorError,
-    NormalizationError,
     ParameterError,
     QuadratureError,
     ResolutionError,
@@ -30,14 +28,11 @@ from .paths import (
     simulate_stable,
 )
 from .mollifiers import (
-    KernelClassReport,
     SignedKernel,
     bessel_k0,
-    classify,
     fourier,
     kernel_by_id,
     kernel_fbm_ou,
-    kernel_fbm_ou_value,
     kernel_ou_bessel,
     kernel_ou_bessel_value,
     kernel_ou_exponential,
@@ -67,12 +62,7 @@ from .spectral import (
     verify_ou_match,
 )
 from .ldp import (
-    CGFEstimate,
     RateCurve,
-    dv_rate,
-    estimate_cgf,
-    exponential_tilt,
-    legendre_dual_on_grid,
     log_moment_generating,
     moment_rate,
 )

@@ -317,11 +317,11 @@ OU_LAGS = (0.0, 1.0, 2.0)
             tolerances=("fourier_error", "k0_error"))
 def run_ou_match(config):
     kernel = kernel_by_id(config.kernel_id)
-    report = spectral.verify_ou_match(kernel, OU_LAGS,
+    checks = spectral.verify_ou_match(kernel, OU_LAGS,
                                       replicas=config.replicas,
                                       horizon=config.horizon, seed=config.seed)
     metrics = []
-    for c in report.checks:
+    for c in checks:
         metrics.append(metric(f"cov_dev_lag_{c.lag:g}", c.deviation,
                               4.0 * c.stderr))
     ft_tol = config.tolerance("fourier_error", 1e-6)
@@ -336,7 +336,7 @@ def run_ou_match(config):
     tables = {
         "covariance_checks.csv": [("lag", "estimate", "stderr", "target")] + [
             (repr(c.lag), repr(c.estimate), repr(c.stderr), repr(c.target))
-            for c in report.checks],
+            for c in checks],
     }
     return metrics, tables
 

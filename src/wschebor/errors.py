@@ -25,14 +25,6 @@ class SynthesisError(WscheborError):
     """All synthesis routes for a Gaussian path failed."""
 
 
-class NormalizationError(WscheborError):
-    """A density supplied to a rate evaluator is not properly normalized."""
-
-
-class DegenerateEstimatorError(WscheborError):
-    """An exponential Monte Carlo estimator is dominated by a single replica."""
-
-
 class SeedMismatchError(WscheborError):
     """Two measures that must share provenance were built from different paths."""
 

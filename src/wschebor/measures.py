@@ -42,14 +42,14 @@ class EmpiricalMeasure:
         wts = np.asarray(self.weights, dtype=float)
         if pts.shape != wts.shape or pts.ndim != 1:
             raise ParameterError("points and weights must be 1-d arrays of equal length")
-        if np.any(wts < 0):
+        if not np.all(wts >= 0):
             raise ParameterError("weights must be nonnegative")
         srt = np.sort(pts)
         if srt.size == 0 or np.any(srt[1:] == srt[:-1]) or np.isnan(srt[-1]):
             order = np.argsort(pts, kind="stable")
             srt, wts = pts[order], wts[order]
         else:
-            # Compared and copied as bit patterns, so -0.0 and NaN weights move intact.
+            # Compared and copied as bit patterns, so -0.0 weights keep their sign.
             bits = wts.view(np.uint64)
             bulk = bits[bits.size // 2]
             odd = np.flatnonzero(bits != bulk)

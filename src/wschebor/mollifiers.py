@@ -53,8 +53,9 @@ class SignedKernel:
     ------
     kernel_id : str
         Name usable in experiment configs.
-    psi : callable
-        Vectorized pointwise evaluation of the kernel itself.
+    psi : callable or None
+        Vectorized pointwise evaluation of the kernel itself; None for a
+        kernel known only through `fourier_abs2`.
     support : (float, float)
         Interval outside of which psi vanishes (numerically); may use
         inf for power tails that have no usable cutoff.
@@ -74,8 +75,6 @@ class SignedKernel:
         The index h* with psi_hat(lambda) ~ c |lambda|^{h* - 1/2} near 0,
         read off `fourier_abs2`: the spectral density at Hurst index H is
         bounded exactly when H <= h*.
-    integrable : bool
-        Whether psi is in L1.
     """
 
     kernel_id: str
@@ -86,7 +85,6 @@ class SignedKernel:
     atoms: tuple = ()
     density: object = None
     density_breakpoints: tuple = ()
-    integrable: bool = True
     _norm_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- signed measure d psi -------------------------------------------------
@@ -108,6 +106,8 @@ class SignedKernel:
 
     def norm(self, p):
         """L^p norm of psi; cached (idempotent, safe under concurrent fill)."""
+        if self.psi is None:
+            raise ParameterError(f"kernel {self.kernel_id!r} has no pointwise values")
         key = float(p)
         if key not in self._norm_cache:
             a, b = self.support
@@ -130,8 +130,8 @@ def fourier(kernel, lam):
     lambda.  The theory reads psi_hat only through |psi_hat|^2, which each
     kernel carries in closed form as `fourier_abs2`.
     """
-    if not kernel.integrable:
-        raise ParameterError(f"kernel {kernel.kernel_id!r} is not integrable")
+    if kernel.psi is None:
+        raise ParameterError(f"kernel {kernel.kernel_id!r} has no pointwise values")
     a, b = kernel.support
     a = max(a, -EXP_TAIL_CUTOFF)
     b = min(b, EXP_TAIL_CUTOFF)
@@ -143,8 +143,6 @@ def fourier(kernel, lam):
     total = 0.0 + 0.0j
     err = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= 0:
-            continue
         if abs(lam) * (hi - lo) > 8.0 * np.pi and 0.0 not in (lo, hi):
             re, e1 = integrate.quad(kernel.psi, lo, hi, weight="cos", wvar=lam, limit=800)
             im, e2 = integrate.quad(kernel.psi, lo, hi, weight="sin", wvar=lam, limit=800)
@@ -301,44 +299,17 @@ def hurst_normalizer_sq(hurst):
     return float(np.exp(log_c2))
 
 
-def kernel_fbm_ou_value(hurst, x):
+def kernel_fbm_ou(hurst):
     """Even kernel turning fBm small increments into the OU process.
 
-    Defined through its transform C_H |lambda|^{H-1/2} / sqrt(pi (1+lambda^2));
-    evaluated by oscillatory quadrature.  Only admissible for H <= 1/2: above
-    that the transform is discontinuous at 0 and no integrable kernel exists.
+    Defined through its transform C_H |lambda|^{H-1/2} / sqrt(pi (1+lambda^2)),
+    which is all the theory reads, so it carries no pointwise values.  Only
+    admissible for H <= 1/2: above that the transform is discontinuous at 0
+    and no integrable kernel exists.
     """
     if not 0.0 < hurst <= 0.5:
         raise ParameterError("the OU-matching fBm kernel requires hurst in (0, 1/2]")
-    c_h = np.sqrt(hurst_normalizer_sq(hurst))
-    pref = c_h / (np.pi * np.sqrt(np.pi))
-
-    def integrand(lam):
-        return lam ** (hurst - 0.5) / np.sqrt(1.0 + lam ** 2)
-
-    xa = abs(float(x))
-    if xa == 0.0:
-        if hurst < 0.5:
-            raise ParameterError("the OU-matching fBm kernel diverges at 0 for H < 1/2")
-        return float(pref * integrate.quad(integrand, 0.0, np.inf, limit=400)[0])
-    # Singular head by plain adaptive quadrature, oscillatory tail cycle
-    # by cycle (QAWF); the integrand decays like lambda^(H - 3/2).
-    head, _ = integrate.quad(lambda l: np.cos(l * xa) * integrand(l), 0.0, 1.0,
-                             limit=400, points=[0.0])
-    tail, _ = integrate.quad(integrand, 1.0, np.inf, weight="cos", wvar=xa, limit=600)
-    return float(pref * (head + tail))
-
-
-def kernel_fbm_ou(hurst):
-    """SignedKernel wrapper for the OU-matching fBm kernel at a given H."""
-    if not 0.0 < hurst <= 0.5:
-        raise ParameterError("the OU-matching fBm kernel requires hurst in (0, 1/2]")
     c2 = hurst_normalizer_sq(hurst)
-
-    def psi(t):
-        flat = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([kernel_fbm_ou_value(hurst, v) for v in flat])
-        return float(out[0]) if np.isscalar(t) else out
 
     def ft_abs2(lam):
         lam = np.asarray(lam, dtype=float)
@@ -347,12 +318,11 @@ def kernel_fbm_ou(hurst):
 
     return SignedKernel(
         kernel_id=f"fbm-ou:H={hurst:g}",
-        psi=psi,
+        psi=None,
         support=(-np.inf, np.inf),
         fourier_abs2=ft_abs2,
         # Stored as parsed: hurst - 1/2 + 1/2 need not give hurst back.
         critical_hurst=hurst,
-        integrable=(hurst == 0.5),
     )
 
 
@@ -376,32 +346,3 @@ def kernel_by_id(kernel_id):
             raise ParameterError(f"malformed kernel id {kernel_id!r}")
         return kernel_fbm_ou(h)
     raise ParameterError(f"unknown kernel id {kernel_id!r}")
-
-
-# ---------------------------------------------------------------------------
-# Class membership
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelClassReport:
-    """Class membership of a kernel; in_G_H maps each queried Hurst index to a bool."""
-
-    kernel_id: str
-    in_G: bool
-    in_G_H: dict
-    in_G0: bool
-
-
-def classify(kernel, hurst_list):
-    """Membership in the BV+L1 class, the spectral-limit classes, and the
-    zero-mean finite-first-moment class, read from the declared data.
-
-    psi is in G_H when |psi_hat(lambda)| |lambda|^{1/2-H} has a limit at 0,
-    that is when H <= h*.  A zero mean is psi_hat(0) = 0, that is h* > 1/2,
-    and a finite support gives the finite first moment.
-    """
-    in_g = bool(kernel.has_derivative_measure and kernel.integrable)
-    in_g_h = {h: bool(h <= kernel.critical_hurst) for h in hurst_list}
-    in_g0 = bool(kernel.integrable and kernel.critical_hurst > 0.5
-                 and np.all(np.isfinite(kernel.support)))
-    return KernelClassReport(kernel.kernel_id, in_g, in_g_h, in_g0)

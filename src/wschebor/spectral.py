@@ -219,14 +219,6 @@ class LagCheck:
         return abs(self.estimate - self.target)
 
 
-@dataclass(frozen=True)
-class OuMatchReport:
-    kernel_id: str
-    replicas: int
-    horizon: float
-    checks: list
-
-
 def _filter_weights(kernel, dt):
     """Midpoint samples of psi for filtering white noise, built once per run.
 
@@ -277,12 +269,13 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, seed=0):
 
     Simulates `replicas` independent long-horizon paths of the unit-scale
     process driven by Brownian motion and compares time-averaged
-    covariances at the requested lags with the stationary OU covariance.
+    covariances at the requested lags with the stationary OU covariance;
+    returns one LagCheck per lag.
     """
     if kernel.kernel_id not in ("ou-exp", "ou-bessel"):
         raise ParameterError("OU matching is defined for the ou-exp and ou-bessel kernels")
     if not lags:
-        return OuMatchReport(kernel.kernel_id, replicas, horizon, [])
+        return []
     draw = _unit_scale_sampler(kernel, horizon)
     estimates = np.empty((replicas, len(lags)))
     for r in range(replicas):
@@ -297,4 +290,4 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, seed=0):
         se = float(col.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else np.inf
         checks.append(LagCheck(lag=float(lag), estimate=float(col.mean()),
                                stderr=se, target=float(np.exp(-abs(lag)))))
-    return OuMatchReport(kernel.kernel_id, replicas, horizon, checks)
+    return checks

@@ -27,7 +27,7 @@ from wschebor.discrete import (
     validate_lln_schedule,
 )
 from wschebor.increments import dpsi_window, normalized_increment, unit_scale_process
-from wschebor.ldp import dv_rate, exponential_tilt, moment_rate
+from wschebor.ldp import moment_rate
 from wschebor.levelproc import (
     char_functional,
     char_functional_limit,
@@ -45,7 +45,6 @@ from wschebor.measures import (
 )
 from wschebor.mollifiers import (
     bessel_k0,
-    classify,
     fourier,
     kernel_by_id,
     kernel_ou_bessel,
@@ -64,6 +63,7 @@ from wschebor.spectral import (
     covariance_from_density,
     sigma_sq,
     spectral_density,
+    unbounded_at_zero,
     verify_ou_match,
 )
 
@@ -132,9 +132,9 @@ def test_03_slepian_covariance():
 
 
 def test_04_ou_match():
-    rep = verify_ou_match(kernel_ou_exponential(), [0.0, 1.0, 2.0],
-                          replicas=200, horizon=50.0, seed=0)
-    cov_ok = all(c.deviation <= 4.0 * c.stderr for c in rep.checks)
+    checks = verify_ou_match(kernel_ou_exponential(), [0.0, 1.0, 2.0],
+                             replicas=200, horizon=50.0, seed=0)
+    cov_ok = all(c.deviation <= 4.0 * c.stderr for c in checks)
     ft_errs = []
     kb = kernel_ou_bessel()
     for lam in (0.0, 1.0, 5.0):
@@ -165,14 +165,6 @@ def test_05_moment_rate_closed_form():
            ok, f"max err={max(errs):.2e}<=1e-6, I(var)={at_var:.2e}, {elapsed:.1f}s<=10s")
 
 
-def test_06_occupation_rate_tilts():
-    r0 = dv_rate(lambda x: np.ones_like(np.asarray(x, float)))
-    errs = [abs(dv_rate(exponential_tilt(t)) - t ** 2 / 8.0) for t in (1.0, 2.0)]
-    ok = r0 == 0.0 and max(errs) <= 1e-8
-    report(6, "occupation rate of exponential tilts",
-           ok, f"rate(1)=0 exactly, tilt errs={[f'{e:.2e}' for e in errs]}<=1e-8")
-
-
 def test_07_quadratic_form_variances():
     s1 = sigma_sq(kernel_psi1(), 0.5)
     s2 = sigma_sq(kernel_psi2(), 0.5)
@@ -187,16 +179,18 @@ def test_07_quadratic_form_variances():
 
 
 def test_08_class_membership():
-    rep1 = classify(kernel_psi1(), [0.7])
+    # A kernel is admissible at H when its spectral density is bounded at 0,
+    # that is when H <= h*.  A zero-mean kernel (h* > 1/2) with finite
+    # support is admissible at every H.
     hs = [round(0.1 * k, 1) for k in range(1, 10)]
-    rep2 = classify(kernel_psi2(), hs)
-    implication = True
-    for kid in ("psi1", "psi2", "triangle", "ou-exp"):
-        rep = classify(kernel_by_id(kid), hs)
-        if rep.in_G0 and not all(rep.in_G_H[h] is True for h in hs):
-            implication = False
-    ok = rep1.in_G_H[0.7] is False and all(rep2.in_G_H[h] is True for h in hs) \
-        and rep2.in_G0 and implication
+    kernels = [kernel_by_id(kid) for kid in ("psi1", "psi2", "triangle", "ou-exp")]
+    zero_mean = [k for k in kernels
+                 if k.critical_hurst > 0.5 and np.all(np.isfinite(k.support))]
+    implication = all(not unbounded_at_zero(k, h) for k in zero_mean for h in hs)
+    psi2 = kernel_psi2()
+    ok = unbounded_at_zero(kernel_psi1(), 0.7) \
+        and not any(unbounded_at_zero(psi2, h) for h in hs) \
+        and [k.kernel_id for k in zero_mean] == ["psi2"] and implication
     report(8, "kernel class membership",
            ok, "indicator kernel rejected at H=0.7, second-difference kernel "
                "admissible everywhere, zero-mean implication holds")

@@ -49,6 +49,10 @@ class TestEmpiricalMeasure:
         with pytest.raises(ParameterError):
             EmpiricalMeasure(np.array([0.0]), np.array([-1.0]))
 
+    def test_rejects_nan_weights(self):
+        with pytest.raises(ParameterError):
+            EmpiricalMeasure(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
+
     @pytest.mark.parametrize("tied", [False, True])
     def test_sorted_like_stable_argsort(self, tied):
         rng = np.random.default_rng(3)
@@ -83,7 +87,7 @@ class TestEmpiricalMeasure:
             wts[[0, -1]] *= 0.5
         elif weights == "odd-bits":
             # -0.0 equals the bulk value 0.0 but must keep its sign bit.
-            wts[[0, 9, 2000]] = [-0.0, np.nan, 0.5]
+            wts[[0, 9, 2000]] = [-0.0, 0.25, 0.5]
         m = EmpiricalMeasure(raw, wts)
         order = np.argsort(raw, kind="stable")
         assert np.array_equal(m.points.view(np.int64), raw[order].view(np.int64))

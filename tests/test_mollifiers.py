@@ -9,12 +9,10 @@ from wschebor.errors import ParameterError
 from wschebor.mollifiers import (
     EXP_TAIL_CUTOFF,
     bessel_k0,
-    classify,
     fourier,
     hurst_normalizer_sq,
     kernel_by_id,
     kernel_fbm_ou,
-    kernel_fbm_ou_value,
     kernel_ou_bessel,
     kernel_ou_bessel_value,
     kernel_ou_exponential,
@@ -122,21 +120,17 @@ class TestNamedKernels:
     def test_fbm_ou_normalizer(self):
         assert abs(hurst_normalizer_sq(0.5) - 2.0 * np.pi) < 1e-12
 
-    def test_fbm_ou_reduces_to_bessel_at_half(self):
-        for x in (0.5, 1.0, 2.0):
-            a = kernel_fbm_ou_value(0.5, x)
-            b = np.sqrt(2.0) / np.pi * bessel_k0(x)
-            assert abs(a - b) < 1e-6
-
     def test_fbm_ou_rejects_high_hurst(self):
-        with pytest.raises(ParameterError):
-            kernel_fbm_ou_value(0.6, 1.0)
         with pytest.raises(ParameterError):
             kernel_fbm_ou(0.7)
 
-    def test_fbm_ou_evaluates_below_half(self):
-        v = kernel_fbm_ou_value(0.3, 1.0)
-        assert np.isfinite(v) and v > 0
+    def test_fbm_ou_has_no_pointwise_values(self):
+        k = kernel_by_id("fbm-ou:H=0.5")
+        assert k.psi is None
+        with pytest.raises(ParameterError, match="fbm-ou:H=0.5"):
+            fourier(k, 1.0)
+        with pytest.raises(ParameterError, match="fbm-ou:H=0.5"):
+            k.norm(2)
 
 
 class TestFourier:
@@ -171,30 +165,6 @@ class TestFourier:
         k = kernel_by_id(kid)
         for lam in (1e3, 1e4):
             assert np.sqrt(k.fourier_abs2(lam)) <= 4.0 / lam
-
-
-class TestClassify:
-    def test_psi1_not_admissible_at_high_hurst(self):
-        rep = classify(kernel_psi1(), [0.7])
-        assert rep.in_G is True
-        assert rep.in_G_H[0.7] is False
-        assert rep.in_G0 is False
-
-    def test_psi2_admissible_everywhere(self):
-        hs = [round(0.1 * i, 1) for i in range(1, 10)]
-        rep = classify(kernel_psi2(), hs)
-        assert rep.in_G is True
-        assert rep.in_G0 is True
-        assert all(rep.in_G_H[h] is True for h in hs)
-
-    def test_zero_integral_implies_admissible(self):
-        # The zero-mean finite-first-moment class sits inside every
-        # admissible class: check the implication over the whole corpus.
-        hs = [round(0.1 * i, 1) for i in range(1, 10)]
-        for kid in ("psi1", "psi2", "triangle", "ou-exp"):
-            rep = classify(kernel_by_id(kid), hs)
-            if rep.in_G0:
-                assert all(rep.in_G_H[h] is True for h in hs), kid
 
 
 def test_kernel_registry():

@@ -161,20 +161,19 @@ class TestSigmaSq:
 
 class TestOuMatch:
     def test_exponential_kernel(self):
-        rep = verify_ou_match(kernel_ou_exponential(), [0.0, 1.0, 2.0],
-                              replicas=200, horizon=50.0, seed=0)
-        assert all(c.deviation <= 4.0 * c.stderr for c in rep.checks)
-        lag0 = rep.checks[0]
+        checks = verify_ou_match(kernel_ou_exponential(), [0.0, 1.0, 2.0],
+                                 replicas=200, horizon=50.0, seed=0)
+        assert all(c.deviation <= 4.0 * c.stderr for c in checks)
+        lag0 = checks[0]
         assert abs(lag0.estimate - 1.0) <= 4.0 * lag0.stderr
 
     def test_bessel_kernel(self):
-        rep = verify_ou_match(kernel_ou_bessel(), [0.0, 1.0],
-                              replicas=100, horizon=50.0, seed=3)
-        assert all(c.deviation <= 4.0 * c.stderr for c in rep.checks)
+        checks = verify_ou_match(kernel_ou_bessel(), [0.0, 1.0],
+                                 replicas=100, horizon=50.0, seed=3)
+        assert all(c.deviation <= 4.0 * c.stderr for c in checks)
 
     def test_empty_lags(self):
-        rep = verify_ou_match(kernel_ou_exponential(), [], replicas=4)
-        assert rep.checks == []
+        assert verify_ou_match(kernel_ou_exponential(), [], replicas=4) == []
 
     def test_rejects_other_kernels(self):
         with pytest.raises(ParameterError):
