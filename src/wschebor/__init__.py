@@ -71,8 +71,8 @@ from .levelproc import (
     char_functional,
     char_functional_limit,
     extract_cloud,
+    gaussian_ball_probability,
     l2_ball_frequency,
-    wiener_ball_probability,
 )
 from .discrete import (
     LagSchedule,

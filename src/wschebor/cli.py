@@ -379,7 +379,7 @@ def run_level_process(config):
     s_count = config.s_count
 
     def cloud_at(epsilon, stream):
-        dt = epsilon / (s_count - 1)
+        dt = min(epsilon / (s_count - 1), 1.0 / config.t_count)  # base times on nodes
         n = int(round((1.0 + epsilon) / dt)) + 1
         src = simulate_brownian(n, 1.0 + epsilon, seed_split(config.seed, stream))
         return levelproc.extract_cloud(src, epsilon, config.t_count, s_count)
@@ -409,15 +409,13 @@ def run_level_process(config):
         })
     ball_eps = 2.0 ** -8
     cloud_b = cloud_at(ball_eps, 1)
-    center = np.zeros(s_count)
-    freq = levelproc.l2_ball_frequency(cloud_b, center, 1.0)
-    oracle = levelproc.wiener_ball_probability(center, 1.0, s_count,
-                                               200000, seed_split(config.seed, 2))
+    freq = levelproc.l2_ball_frequency(cloud_b, np.zeros(s_count), 1.0)
+    s = cloud_b.s_grid  # Brownian covariance min(s, t) at the nodes
+    oracle, quad_error = levelproc.gaussian_ball_probability(np.minimum.outer(s, s), s[1], 1.0)
     n_eff = levelproc.effective_snapshot_count(cloud_b)
     se_cloud = np.sqrt(max(freq * (1.0 - freq), 1e-12) / n_eff)
-    dev = abs(freq - oracle.probability)
-    metrics.append(metric("ball_frequency_dev", dev,
-                          3.0 * (se_cloud + oracle.stderr)))
+    dev = abs(freq - oracle)
+    metrics.append(metric("ball_frequency_dev", dev, 3.0 * se_cloud))
     report = {
         "epsilon": eps,
         "t_count": config.t_count,
@@ -425,10 +423,10 @@ def run_level_process(config):
         "ball": {
             "epsilon": ball_eps,
             "frequency": freq,
-            "oracle_probability": oracle.probability,
+            "oracle_probability": oracle,
             "deviation": dev,
             "cloud_stderr": se_cloud,
-            "oracle_stderr": oracle.stderr,
+            "oracle_quad_error": quad_error,
         },
     }
     tables = {"char_functional.csv": rows,

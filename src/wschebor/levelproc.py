@@ -7,15 +7,15 @@ From a single Brownian path, the cloud of shifted-rescaled windows
 is extracted on a common s-grid.  As eps shrinks the time-average of
 these windows converges to Wiener measure; the diagnostics here check
 that through characteristic functionals with exact limits and through
-frequencies of L2 balls compared against an independent Monte Carlo
-reference (ball probabilities under Wiener measure have no closed form,
-so the reference is always a fresh simulation with its own error bar,
-never a hardcoded constant).
+frequencies of L2 balls, whose reference is exact as well: on the s-grid
+the squared norm is a Gaussian quadratic form with a one-integral CDF
+(Imhof, 1961), the discrete analogue of the Kac-Siegert series of int W^2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from .errors import CoverageError, ParameterError, ResolutionError
 
@@ -44,8 +44,8 @@ def extract_cloud(source, epsilon, t_count, s_count, t_values=None):
     The s-grid is s_count equispaced points spanning [0, 1]; every window
     starts at 0 by construction.  Off-grid times are filled by linear
     interpolation of the source, so the s-resolution may not exceed the
-    source resolution.  Custom base times can be supplied in place of the
-    uniform grid.
+    source resolution (and an interpolated value has less than the process's
+    variance).  Custom base times can be supplied in place of the uniform grid.
     """
     desc = source.meta.get("descriptor")
     if desc is None or desc.family != "brownian":
@@ -89,8 +89,6 @@ def char_functional(cloud, atoms):
     Averages exp(i sum_k a_k xi_t(t_k)) over the cloud, with atom
     locations snapped to the nearest s-grid node.
     """
-    if not atoms:
-        return 1.0 + 0.0j
     idx, coef = _snap_atoms(cloud, atoms)
     phases = cloud.snapshots[:, idx] @ coef
     return complex(np.mean(np.exp(1j * phases)))
@@ -103,8 +101,6 @@ def char_functional_limit(atoms):
     a right-partial-sum step function, so the integral is a finite sum of
     squared partial sums times segment lengths.
     """
-    if not atoms:
-        return 1.0
     locs = np.array([t for t, _ in atoms], dtype=float)
     if np.any((locs < 0.0) | (locs > 1.0)):
         raise ParameterError("atom locations must lie in [0, 1]")
@@ -128,15 +124,14 @@ def trapezoid_l2_distance(cloud, center):
     center = np.asarray(center, dtype=float)
     if center.shape != cloud.s_grid.shape:
         raise ParameterError("center must live on the cloud's s-grid")
-    return _trapezoid_l2(cloud.snapshots, center, cloud.s_grid[1] - cloud.s_grid[0])
+    w = _trapezoid_weights(center.size, cloud.s_grid[1] - cloud.s_grid[0])
+    return np.sqrt(((cloud.snapshots - center[None, :]) ** 2) @ w)
 
 
-def _trapezoid_l2(rows, center, ds):
-    """Trapezoid L2 norm of each row of `rows` - `center` on a grid of step ds."""
-    w = np.full(center.size, ds)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return np.sqrt(((rows - center[None, :]) ** 2) @ w)
+def _trapezoid_weights(size, ds):
+    w = np.full(size, ds)
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def l2_ball_frequency(cloud, center, radius):
@@ -152,27 +147,36 @@ def effective_snapshot_count(cloud):
     return int(min(cloud.t_count, max(1, np.floor(1.0 / (2.0 * cloud.epsilon)))))
 
 
-@dataclass(frozen=True)
-class WienerBallEstimate:
-    probability: float
-    stderr: float
-    n_paths: int
+def gaussian_ball_probability(cov, ds, radius):
+    """Exact P(||X|| < radius) and its quadrature error for a centred Gaussian X.
 
-
-def wiener_ball_probability(center, radius, s_count, n_paths, seed):
-    """Independent Monte Carlo reference for P( ||W - center||_{L2} < radius ).
-
-    Fresh Brownian paths are sampled exactly on the same s-grid; the
-    estimate carries its binomial standard error.
+    `cov` is the covariance at the nodes of a grid of step ds.  The trapezoid
+    squared norm is sum_j lam_j Z_j^2, lam_j the eigenvalues of W^1/2 C W^1/2.
     """
-    center = np.asarray(center, dtype=float)
-    if center.size != s_count:
-        raise ParameterError("center must have s_count coordinates")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ds = 1.0 / (s_count - 1)
-    incs = rng.standard_normal((n_paths, s_count - 1)) * np.sqrt(ds)
-    paths = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(incs, axis=1)], axis=1)
-    hits = _trapezoid_l2(paths, center, ds) < radius
-    p = float(np.mean(hits))
-    se = float(np.sqrt(max(p * (1.0 - p), 1e-12) / n_paths))
-    return WienerBallEstimate(probability=p, stderr=se, n_paths=n_paths)
+    if radius <= 0:
+        raise ParameterError("radius must be positive")
+    root_w = np.sqrt(_trapezoid_weights(len(cov), ds))
+    lam = np.linalg.eigvalsh(root_w[:, None] * np.asarray(cov, dtype=float) * root_w)
+    return _quadratic_form_cdf(lam, radius * radius)
+
+
+def _quadratic_form_cdf(lam, level):
+    """P(sum_j lam_j Z_j^2 < level) and its error estimate, by Imhof (1961).
+
+    P = 1/2 - (1/pi) int_0^inf sin(a(u) - omega u) / (u rho(u)) du, with
+    a = sum arctan(lam_j u)/2, rho = prod (1 + (lam_j u)^2)^(1/4), omega = level/2.
+    One quad over [0, inf) warns and leaves [0, 1] for few nodes or large radii,
+    so past the first period 2 pi/omega the oscillation is a QAWF Fourier weight.
+    """
+    omega = 0.5 * level
+
+    def integrand(trig, shift=0.0):
+        return lambda u: (trig(0.5 * np.sum(np.arctan(lam * u)) - shift * u)
+                          * np.exp(-0.25 * np.sum(np.log1p((lam * u) ** 2))) / u)
+
+    cut = 2.0 * np.pi / omega
+    head, e_head = integrate.quad(integrand(np.sin, omega), 0.0, cut)
+    tail_c, e_c = integrate.quad(integrand(np.sin), cut, np.inf, weight="cos", wvar=omega)
+    tail_s, e_s = integrate.quad(integrand(np.cos), cut, np.inf, weight="sin", wvar=omega)
+    p = 0.5 - (head + tail_c - tail_s) / np.pi  # roundoff may leave [0, 1] near 0 or 1
+    return min(max(p, 0.0), 1.0), (e_head + e_c + e_s) / np.pi

@@ -270,12 +270,10 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, seed=0):
     Simulates `replicas` independent long-horizon paths of the unit-scale
     process driven by Brownian motion and compares time-averaged
     covariances at the requested lags with the stationary OU covariance;
-    returns one LagCheck per lag.
+    returns one LagCheck per lag.  The standard errors need replicas >= 2.
     """
     if kernel.kernel_id not in ("ou-exp", "ou-bessel"):
         raise ParameterError("OU matching is defined for the ou-exp and ou-bessel kernels")
-    if not lags:
-        return []
     draw = _unit_scale_sampler(kernel, horizon)
     estimates = np.empty((replicas, len(lags)))
     for r in range(replicas):
@@ -287,7 +285,7 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, seed=0):
     checks = []
     for j, lag in enumerate(lags):
         col = estimates[:, j]
-        se = float(col.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else np.inf
+        se = float(col.std(ddof=1) / np.sqrt(replicas))
         checks.append(LagCheck(lag=float(lag), estimate=float(col.mean()),
                                stderr=se, target=float(np.exp(-abs(lag)))))
     return checks

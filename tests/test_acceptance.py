@@ -33,8 +33,8 @@ from wschebor.levelproc import (
     char_functional_limit,
     effective_snapshot_count,
     extract_cloud,
+    gaussian_ball_probability,
     l2_ball_frequency,
-    wiener_ball_probability,
 )
 from wschebor.measures import (
     EmpiricalMeasure,
@@ -253,21 +253,21 @@ def test_11_level_process():
         devs.append(abs(char_functional(cloud, atoms) - exact))
     char_ok = max(devs) <= 0.05
 
+    # Source step 1/t_count = 2^-14, so every ball window's times are nodes.
     ball_eps = 2.0 ** -8
-    dt_b = ball_eps / (s_count - 1)
-    src_b = simulate_brownian(int(round((1 + ball_eps) / dt_b)) + 1,
+    src_b = simulate_brownian(int(round((1 + ball_eps) * 2 ** 14)) + 1,
                               1.0 + ball_eps, 999)
     cloud_b = extract_cloud(src_b, ball_eps, 2 ** 14, s_count)
-    center = np.zeros(s_count)
-    freq = l2_ball_frequency(cloud_b, center, 1.0)
-    oracle = wiener_ball_probability(center, 1.0, s_count, 200_000, 424242)
+    freq = l2_ball_frequency(cloud_b, np.zeros(s_count), 1.0)
+    s = cloud_b.s_grid
+    oracle, quad_error = gaussian_ball_probability(np.minimum.outer(s, s), s[1], 1.0)
     se_cloud = np.sqrt(freq * (1 - freq) / effective_snapshot_count(cloud_b))
-    ball_dev = abs(freq - oracle.probability)
-    ball_ok = ball_dev <= 3.0 * (se_cloud + oracle.stderr)
+    ball_dev = abs(freq - oracle)
+    ball_ok = ball_dev <= 3.0 * se_cloud and quad_error < 1e-7
     report(11, "level process",
            char_ok and ball_ok,
            f"char devs={[f'{d:.3f}' for d in devs]}<=0.05, "
-           f"ball dev={ball_dev:.4f}<=3*({se_cloud:.4f}+{oracle.stderr:.4f})")
+           f"ball dev={ball_dev:.4f}<=3*{se_cloud:.4f} (exact P={oracle:.6f})")
 
 
 def test_12_discrete_lag():

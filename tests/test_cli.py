@@ -3,12 +3,13 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
-from wschebor import discrete, measures
+from wschebor import discrete, levelproc, measures
 from wschebor.cli import (
     CSV_BLOCK_ROWS,
     EXPERIMENTS,
@@ -396,7 +397,40 @@ class TestRun:
         assert {"char_functionals", "ball"} <= set(report)
         entry = report["char_functionals"][0]
         assert {"atoms", "empirical", "limit", "deviation"} <= set(entry)
-        assert {"frequency", "oracle_probability", "oracle_stderr"} <= set(report["ball"])
+        assert {"frequency", "oracle_probability", "oracle_quad_error"} <= set(report["ball"])
+
+    def test_ball_cloud_windows_lie_on_source_nodes(self, tmp_path, monkeypatch):
+        # An off-node window is interpolated between two nodes and has less
+        # than the Brownian variance; at t_count 2^14 the ball cloud (eps
+        # 2^-8, s-step 2^-13) needs the source step 1/t_count.
+        seen = []
+        extract = levelproc.extract_cloud
+
+        def spy(source, epsilon, t_count, s_count):
+            seen.append((source, epsilon, t_count, s_count))
+            return extract(source, epsilon, t_count, s_count)
+
+        monkeypatch.setattr(levelproc, "extract_cloud", spy)
+        run(small_config("level-process", t_count=2 ** 14, epsilon=2.0 ** -10),
+            output_dir=tmp_path)
+        assert [e for _, e, _, _ in seen] == [2.0 ** -10, 2.0 ** -8]
+        for source, epsilon, t_count, s_count in seen:
+            times = (np.arange(t_count)[:, None] / t_count
+                     + epsilon * np.linspace(0.0, 1.0, s_count)[None, :])
+            k = (times - source.t_start) / source.dt
+            assert np.array_equal(k, np.round(k))
+
+    def test_level_process_peak_memory(self, tmp_path):
+        # The ball reference is exact, so the run builds no path ensemble:
+        # its peak is about 34 MB, and 200 000 Monte Carlo paths alone need 160.
+        cfg = ExperimentConfig.from_dict({"experiment": "level-process"})
+        tracemalloc.start()
+        try:
+            run(cfg, output_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_main_run_and_validation(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
