@@ -78,12 +78,9 @@ from .discrete import (
     LagSchedule,
     coupled_pair,
     coupling_distance,
-    custom_schedule,
     discrete_measure,
     over_log_schedule,
     power_schedule,
-    validate_ldp_schedule,
-    validate_lln_schedule,
 )
 from .cli import ExperimentConfig, list_experiments, run
 

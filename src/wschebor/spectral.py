@@ -19,7 +19,7 @@ from scipy import integrate, optimize
 from .errors import ParameterError, QuadratureError
 from .increments import correlate_valid, unit_scale_process
 from .mollifiers import hurst_normalizer_sq
-from .paths import seed_split, simulate_brownian
+from .paths import BROWNIAN, GridPath, ProcessDescriptor, seed_split, simulate_brownian
 
 HEAD_CUTOFF = 64.0
 
@@ -237,7 +237,6 @@ def _filter_brownian_increments(half, weights, horizon, dt, seed, kernel_id):
     rng = np.random.Generator(np.random.PCG64(seed))
     dw = rng.standard_normal(n_cells) * np.sqrt(dt)
     vals = correlate_valid(dw, weights)
-    from .paths import GridPath, ProcessDescriptor, BROWNIAN
     meta = {"descriptor": ProcessDescriptor(BROWNIAN, seed=seed),
             "kernel": kernel_id, "transform": "filter"}
     return GridPath(0.0, dt, vals, meta)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -564,10 +565,14 @@ class TestRun:
         check = [m for m in res["metrics"] if m["name"] == "ks_to_phi_uniform"][0]
         assert not check["pass"]
 
-    def _coupling_check(self, tmp_path, **overrides):
-        run(small_config("discrete-lag", **overrides), output_dir=tmp_path)
+    def _metrics(self, tmp_path, name, strict=False, **overrides):
+        code = run(small_config(name, **overrides), output_dir=tmp_path, strict=strict)
         res = json.loads((tmp_path / "results.json").read_text())
-        return [m for m in res["metrics"] if m["name"] == "coupling_median_decreases"][0]
+        return code, {m["name"]: m for m in res["metrics"]}
+
+    def _coupling_check(self, tmp_path, **overrides):
+        _, checks = self._metrics(tmp_path, "discrete-lag", **overrides)
+        return checks["coupling_median_decreases"]
 
     def test_discrete_lag_coupling_compares_sixteenth_size(self, tmp_path):
         # At n_discrete = 2^14 the check used to compare the median with itself.
@@ -580,11 +585,50 @@ class TestRun:
         # Below 2^14 the check used to demand that the distance grow with n.
         assert self._coupling_check(tmp_path, n_discrete=2 ** 13, replicas=3)["pass"]
 
-    def test_discrete_lag_rejects_log_schedule(self, tmp_path):
-        run(small_config("discrete-lag"), output_dir=tmp_path)
-        res = json.loads((tmp_path / "results.json").read_text())
-        check = [m for m in res["metrics"] if m["name"] == "log_schedule_rejected"][0]
-        assert check["pass"]
+    def test_discrete_lag_rejects_schedule_outside_coupling_regime(self, tmp_path):
+        # At gamma = 1/2, eps_n sqrt(n) = floor(sqrt n) / sqrt n stays bounded.
+        code, checks = self._metrics(tmp_path, "discrete-lag", strict=True,
+                                     lag_kind="power:gamma=0.5")
+        assert code == 2
+        assert checks["gaussian_coupling_regime"]["value"] == 0.0
+        assert not checks["gaussian_coupling_regime"]["pass"]
+        assert [n for n, m in checks.items() if not m["pass"]] == ["gaussian_coupling_regime"]
+
+    @pytest.mark.parametrize("lag_kind, q", [
+        pytest.param("power:gamma=0.6", 0.1, id="gamma-0.6"),
+        pytest.param("overlog", 0.5, id="overlog")])
+    def test_discrete_lag_coupling_regime_passes(self, tmp_path, lag_kind, q):
+        code, checks = self._metrics(tmp_path, "discrete-lag", strict=True,
+                                     lag_kind=lag_kind)
+        assert code == 0
+        assert checks["gaussian_coupling_regime"]["value"] == pytest.approx(q)
+        assert checks["gaussian_coupling_regime"]["pass"]
+
+    @pytest.mark.parametrize("kernel_id", ["ou-exp", "ou-bessel"])
+    @pytest.mark.parametrize("field, failing", [
+        pytest.param(None, (), id="unmutated"),
+        pytest.param("psi", ("fourier_error_0", "fourier_error_1", "fourier_error_5"),
+                     id="psi-scaled"),
+        pytest.param("fourier_abs2", ("fourier_error_0", "fourier_error_1",
+                                      "fourier_error_5", "spectral_cov_error"),
+                     id="abs2-scaled"),
+    ])
+    def test_ou_match_kernel_checks_read_the_kernel(self, tmp_path, monkeypatch,
+                                                     kernel_id, field, failing):
+        # A kernel whose psi or |psi_hat|^2 is 5 % off fails the checks that read it.
+        def mutated(kid):
+            kernel = kernel_by_id(kid)
+            if field is None:
+                return kernel
+            scaled = getattr(kernel, field)
+            return dataclasses.replace(kernel, **{field: lambda x: 1.05 * scaled(x)})
+        monkeypatch.setattr("wschebor.cli.kernel_by_id", mutated)
+        _, checks = self._metrics(tmp_path, "ou-match", kernel_id=kernel_id,
+                                  replicas=4, horizon=5.0)
+        kernel_checks = {n: m for n, m in checks.items() if not n.startswith("cov_dev")}
+        assert sorted(kernel_checks) == ["fourier_error_0", "fourier_error_1",
+                                         "fourier_error_5", "spectral_cov_error"]
+        assert sorted(n for n, m in kernel_checks.items() if not m["pass"]) == list(failing)
 
     def test_stable_marginal_brownian_reference(self, tmp_path):
         # 2000 replicas: enough power to see a reference that is sqrt(2) too wide.

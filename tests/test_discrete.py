@@ -5,14 +5,11 @@ from scipy import stats
 from wschebor.discrete import (
     coupled_pair,
     coupling_distance,
-    custom_schedule,
     discrete_measure,
     gaussian_innovations,
     over_log_schedule,
     power_schedule,
     uniform_innovations,
-    validate_ldp_schedule,
-    validate_lln_schedule,
 )
 from wschebor.errors import ParameterError, SeedMismatchError
 from wschebor.measures import EmpiricalMeasure, ks_distance
@@ -81,42 +78,54 @@ class TestDiscreteMeasure:
         assert abs(slope - 1.0) <= 0.3
 
 
+def _schedule(gamma):
+    return over_log_schedule() if gamma is None else power_schedule(gamma)
+
+
 class TestSchedules:
     def test_power_schedule_remark_examples(self):
-        rep = validate_lln_schedule(power_schedule(0.6), 0.25,
-                                    lambda k: int(k ** 5), 40)
-        assert rep.all_pass(), [(c.name, c.verdict) for c in rep.checks]
+        # Along n_k = k^5, eps_{n_k} = floor(k^3) / k^5 = k^-2: summable.
+        ks = np.arange(1, 41, dtype=float)
+        n_k = ks ** 5
+        eps = power_schedule(0.6).r(n_k) / n_k
+        assert np.all(np.diff(power_schedule(0.6).r(n_k)) > 0)
+        assert np.max(np.abs(eps * ks ** 2 - 1.0)) < 0.2
 
     def test_overlog_schedule_remark_examples(self):
-        rep = validate_lln_schedule(over_log_schedule(), 0.25,
-                                    lambda k: int(np.exp(k ** 2)), 26)
-        assert rep.all_pass(), [(c.name, c.verdict) for c in rep.checks]
+        # Along n_k = exp(k^2), eps_{n_k} = floor(n_k / k^2) / n_k = k^-2: summable.
+        ks = np.arange(2, 27, dtype=float)
+        n_k = np.exp(ks ** 2)
+        eps = over_log_schedule().r(n_k) / n_k
+        assert np.all(np.diff(over_log_schedule().r(n_k)) > 0)
+        assert np.max(np.abs(eps * ks ** 2 - 1.0)) < 0.05
 
-    def test_constant_lag_flags_precondition(self):
-        rep = validate_lln_schedule(custom_schedule(lambda n: 5.0), 0.25,
-                                    lambda k: int(k ** 5), 40)
-        assert not rep.check("lag-unbounded-ratio-vanishing").passed
-        assert not rep.all_pass()
+    def test_lags_keep_their_values(self):
+        n = np.array([2.0 ** 13, 2.0 ** 14, 2.0 ** 18])
+        assert power_schedule(0.6).r(n).tolist() == [222.0, 337.0, 1782.0]
+        assert over_log_schedule().r(n).tolist() == [909.0, 1688.0, 21010.0]
+        assert power_schedule(0.1).r(2.0).item() == 1.0
 
-    def test_delta_domain(self):
-        with pytest.raises(ParameterError):
-            validate_lln_schedule(power_schedule(0.6), 0.7, lambda k: k ** 5, 10)
-
-    def test_ldp_regimes(self):
-        rep = validate_ldp_schedule(over_log_schedule(), 2 ** 10, 2 ** 24)
-        assert rep.check("log-bracket").passed
-        rep = validate_ldp_schedule(power_schedule(0.6), 2 ** 10, 2 ** 24)
-        assert rep.check("sqrt-divergence").passed
-        assert not rep.check("log-bracket").passed
-        rep = validate_ldp_schedule(custom_schedule(lambda n: np.log(n)),
-                                    2 ** 10, 2 ** 24)
-        assert not rep.check("sqrt-divergence").passed
-        assert not rep.check("log-bracket").passed
-
-    def test_overlog_log_product_near_one(self):
-        rep = validate_ldp_schedule(over_log_schedule(), 2 ** 16, 2 ** 24)
-        detail = rep.check("log-bracket").detail
-        assert 0.9 < detail["min"] <= detail["max"] < 1.1
+    # gamma (None: overlog) -> (q, eps_n sqrt(n) -> inf, eps_n log n -> a limit in (0, inf))
+    @pytest.mark.parametrize("gamma, q, coupled, log_bracket", [
+        pytest.param(0.3, -0.2, False, False, id="power-0.3"),
+        pytest.param(0.45, -0.05, False, False, id="power-0.45"),
+        pytest.param(0.5, 0.0, False, False, id="power-0.5"),
+        pytest.param(0.52, 0.02, True, False, id="power-0.52"),
+        pytest.param(0.55, 0.05, True, False, id="power-0.55"),
+        pytest.param(0.6, 0.1, True, False, id="power-0.6"),
+        pytest.param(0.9, 0.4, True, False, id="power-0.9"),
+        pytest.param(None, 0.5, True, True, id="overlog"),
+    ])
+    def test_closed_form_regimes(self, gamma, q, coupled, log_bracket):
+        schedule = _schedule(gamma)
+        assert schedule.sqrt_exponent == pytest.approx(q, abs=1e-12)
+        assert (schedule.sqrt_exponent > 0.0) == coupled
+        # The closed form against the lags themselves, far out in n, where
+        # eps_n sqrt(n) = n^q up to a logarithm and eps_n log n is near its limit.
+        n = 2.0 ** 400
+        eps = schedule.r(n) / n
+        assert abs(np.log(eps * np.sqrt(n)) / np.log(n) - q) < 0.03
+        assert (0.5 < eps * np.log(n) < 2.0) == log_bracket
 
 
 class TestCoupling:

@@ -39,6 +39,7 @@ TRACED_CONFIGS = [
       ("psi2", "triangle", "ou-bessel")),
     {"experiment": "spectral-tables", "kernel_id": "fbm-ou:H=0.4", "hurst": 0.3},
     {"experiment": "ou-match", "kernel_id": "ou-bessel", "replicas": 2, "horizon": 5.0},
+    {"experiment": "discrete-lag", "lag_kind": "overlog", "n_discrete": 2 ** 8, "replicas": 1},
     # A density kernel touches more than 8 grid offsets: the FFT stencil route.
     {"experiment": "wschebor-check", "kernel_id": "triangle", "grid_n": 2 ** 12,
      "replicas": 1, "epsilon": 2.0 ** -5},
