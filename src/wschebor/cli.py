@@ -24,7 +24,6 @@ from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import discrete as dsc
 from . import ldp, levelproc, measures, mollifiers, spectral
@@ -239,6 +238,7 @@ def _occupation_ks(kernel, epsilons, seed, grid_n):
     the first normals of the seed's stream, scaled by its own grid step,
     so it is the path a separate simulation with that seed would give.
     """
+    from scipy import special
     grids = [_occupation_grid(kernel, eps, grid_n) for eps in epsilons]
     sources = brownian_paths([(n, hi - lo, lo) for lo, hi, n in grids], seed)
     scale = kernel.norm(2)
@@ -438,6 +438,7 @@ def run_level_process(config):
             "sliding-window increment measures with growing lags",
             tolerances=("ks_to_phi",))
 def run_discrete_lag(config):
+    from scipy import special
     schedule = config._parse_lag()
     n = config.n_discrete
     r = int(schedule.r(n))
@@ -522,10 +523,18 @@ def run(config, output_dir=None, strict=False):
     place whole; into an existing one each file is moved, replacing the
     file of the same name, and nothing else in it is touched.
 
+    An output path that cannot be a directory raises ConfigError: a path
+    or nearest existing ancestor that is not a directory before the
+    experiment runs, and a file name of the output that is a directory in
+    the existing output directory before any file is moved.
+
     Returns the exit status (0 ok, 2 failed metric under strict).
     """
     out = Path(output_dir or config.output_dir)
     fn, _ = EXPERIMENTS[config.experiment]
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise ConfigError("output_dir", f"{str(existing)!r} is not a directory")
     started = time.time()
     metrics, tables = fn(config)
     elapsed = time.time() - started
@@ -540,8 +549,12 @@ def run(config, output_dir=None, strict=False):
     try:
         _write_outputs(tmp, results, elapsed, tables)
         if out.exists():
-            for path in tmp.iterdir():
-                os.replace(path, out / path.name)
+            names = sorted(p.name for p in tmp.iterdir())
+            for name in names:
+                if (out / name).is_dir():
+                    raise ConfigError("output_dir", f"{str(out / name)!r} is a directory")
+            for name in names:
+                os.replace(tmp / name, out / name)
             tmp.rmdir()
         else:
             os.rename(tmp, out)
@@ -651,6 +664,9 @@ def main(argv=None):
         return 1
     try:
         return run(config, output_dir=args.output, strict=args.strict)
+    except ConfigError as exc:  # an output path that cannot be a directory
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except WscheborError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

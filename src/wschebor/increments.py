@@ -17,7 +17,6 @@ applied to independent replicas fully in parallel.
 import functools
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import CoverageError, ParameterError, ResolutionError
 from .paths import GridPath
@@ -120,6 +119,7 @@ def _dpsi_stencil(kernel, epsilon, dt):
 
 def correlate_valid(x, w):
     """sum_k w[k] x[i + k] for every i where w fits inside x, by real FFTs."""
+    from scipy.fft import irfft, next_fast_len, rfft
     n = next_fast_len(x.size + w.size - 1, True)
     return irfft(rfft(x, n) * rfft(w[::-1], n), n)[w.size - 1:x.size]
 

@@ -9,7 +9,6 @@ Legendre transform is the rate, exact up to quadrature.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import ParameterError
 from .spectral import HEAD_CUTOFF
@@ -35,6 +34,7 @@ def log_moment_generating(density, y):
     the first-order expansion of the logarithm, whose error is quadratic
     in the tiny tail values of the density.
     """
+    from scipy import integrate
     m = density.sup_value
     if y >= 1.0 / (4.0 * np.pi * m):
         raise ParameterError("y outside the domain of the cumulant integral")
@@ -57,6 +57,7 @@ def moment_rate(density, xs):
     Computes I(x) = sup_y { x y - L(y) } over y in (-Y0, 1/(4 pi M)) by
     bounded concave maximization; exact up to quadrature.
     """
+    from scipy import optimize
     xs = np.asarray(list(xs), dtype=float)
     if np.any(xs < 0):
         raise ParameterError("moment targets must be nonnegative")

@@ -15,7 +15,6 @@ the squared norm is a Gaussian quadratic form with a one-integral CDF
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import CoverageError, ParameterError, ResolutionError
 
@@ -168,6 +167,7 @@ def _quadratic_form_cdf(lam, level):
     One quad over [0, inf) warns and leaves [0, 1] for few nodes or large radii,
     so past the first period 2 pi/omega the oscillation is a QAWF Fourier weight.
     """
+    from scipy import integrate
     omega = 0.5 * level
 
     def integrand(trig, shift=0.0):

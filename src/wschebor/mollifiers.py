@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import ParameterError, QuadratureError
 
@@ -33,6 +32,7 @@ def bessel_k0(x):
 
     Diverges logarithmically at 0, so x must be positive.
     """
+    from scipy import special
     scalar = np.isscalar(x)
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
@@ -106,6 +106,7 @@ class SignedKernel:
 
     def norm(self, p):
         """L^p norm of psi; cached (idempotent, safe under concurrent fill)."""
+        from scipy import integrate
         if self.psi is None:
             raise ParameterError(f"kernel {self.kernel_id!r} has no pointwise values")
         key = float(p)
@@ -130,6 +131,7 @@ def fourier(kernel, lam):
     lambda.  The theory reads psi_hat only through |psi_hat|^2, which each
     kernel carries in closed form as `fourier_abs2`.
     """
+    from scipy import integrate
     if kernel.psi is None:
         raise ParameterError(f"kernel {kernel.kernel_id!r} has no pointwise values")
     a, b = kernel.support

@@ -14,7 +14,6 @@ Everything here is a pure function of immutable inputs.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import ParameterError, QuadratureError
 from .increments import correlate_valid, unit_scale_process
@@ -54,6 +53,7 @@ def _atom_cosine_decomposition(kernel):
 
 def _power_cos_tail(t, expo):
     """int_B^inf cos(t l) l^{-expo} dl, B = HEAD_CUTOFF; analytic for t = 0, QAWF else."""
+    from scipy import integrate
     if t == 0.0:
         return HEAD_CUTOFF ** (1.0 - expo) / (expo - 1.0)
     val, _ = integrate.quad(lambda l: l ** (-expo), HEAD_CUTOFF, np.inf,
@@ -97,6 +97,7 @@ def spectral_density(kernel, hurst):
     bounded scalar minimization.  A density that is unbounded at 0 is
     refused with ParameterError.
     """
+    from scipy import integrate, optimize
     if not 0.0 < hurst < 1.0:
         raise ParameterError("hurst must lie in (0, 1)")
     if unbounded_at_zero(kernel, hurst):
@@ -155,6 +156,7 @@ def spectral_density(kernel, hurst):
 
 def covariance_from_density(density, t):
     """Covariance r(t) = 2 int_0^inf cos(t lambda) l(lambda) d lambda."""
+    from scipy import integrate
     t = abs(float(t))
     if t == 0.0:
         return density.variance
@@ -171,6 +173,7 @@ def sigma_sq(kernel, hurst):
     The atom-atom part is an exact double sum; atom-density cross terms
     and the density-density block are adaptive quadrature.
     """
+    from scipy import integrate
     if not kernel.has_derivative_measure:
         raise ParameterError(f"kernel {kernel.kernel_id!r} carries no derivative measure")
     h2 = 2.0 * hurst

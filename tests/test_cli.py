@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import wschebor
 from wschebor import discrete, levelproc, measures
 from wschebor.cli import (
     CSV_BLOCK_ROWS,
@@ -43,6 +45,9 @@ FAST_CONFIGS = {
 }
 
 
+NAMED_KERNELS = ("psi1", "psi2", "triangle", "ou-exp", "ou-bessel", "fbm-ou:H=0.4")
+
+
 def small_config(name, **overrides):
     body = {"experiment": name, "seed": 7, **FAST_CONFIGS[name], **overrides}
     return ExperimentConfig.from_dict(body)
@@ -61,6 +66,30 @@ def csv_writer_bytes(rows):
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows(rows)
     return expected.getvalue()
+
+
+def output_blobs(out):
+    """The bytes of every output but timing.json, with parameters.threads left out."""
+    blobs = {}
+    for p in sorted(out.iterdir()):
+        if p.name == "timing.json":
+            continue
+        raw = p.read_bytes()
+        if p.name == "results.json":
+            body = json.loads(raw)
+            body["parameters"].pop("threads", None)
+            raw = json.dumps(body, sort_keys=True).encode()
+        blobs[p.name] = raw
+    return blobs
+
+
+def fresh_python(code, payload):
+    """Run `code` in a fresh interpreter that imports this wschebor; payload is argv[1]."""
+    src = os.path.dirname(os.path.dirname(wschebor.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code, json.dumps(payload)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestSeedSplit:
@@ -300,6 +329,39 @@ class TestExitCodes:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
+    @pytest.mark.parametrize("target", ["file", "under-file"])
+    def test_output_path_not_a_directory_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                  target):
+        def boom(config):
+            raise RuntimeError("the experiment ran")
+        monkeypatch.setitem(EXPERIMENTS, "stable-marginal", (boom, "raises"))
+        (tmp_path / "afile").write_bytes(b"old")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "stable-marginal", "replicas": 20}))
+        output = {"file": "afile", "under-file": "afile/sub"}[target]
+        argv = ["run", "--config", str(cfg_path), "--output", str(tmp_path / output)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir") and len(err.splitlines()) == 1
+        assert (tmp_path / "afile").read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+
+    def test_directory_in_place_of_an_output_file_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "stable-marginal", "replicas": 20}))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--output", str(out)]
+        assert main(argv) == 0
+        (out / "marginal_samples.csv").unlink()
+        (out / "marginal_samples.csv" / "sub").mkdir(parents=True)
+        (out / "marginal_samples.csv" / "sub" / "kept.txt").write_text("kept")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(argv + ["--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir") and "is a directory" in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
     def test_rerun_replaces_files_and_keeps_others(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -323,6 +385,29 @@ class TestListing:
                 "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_cold_start_loads_no_scipy(self, tmp_path):
+        # Importing, validating, listing and a config error need numpy only;
+        # scipy loads when a run first calls it.
+        code = """
+import json, sys
+from wschebor.cli import EXPERIMENTS, ExperimentConfig, list_experiments, main
+from wschebor.errors import ConfigError
+fast, kernels, bad = json.loads(sys.argv[1])
+for name in EXPERIMENTS:
+    for body in [fast[name], *({**fast[name], "kernel_id": k} for k in kernels)]:
+        try:
+            ExperimentConfig.from_dict({"experiment": name, **body})
+        except ConfigError:
+            pass
+list_experiments(as_json=True)
+assert main(["run", "--config", bad]) == 1
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"experiment": "moment-rate", "hurst": 0.7}))
+        out = fresh_python(code, [FAST_CONFIGS, NAMED_KERNELS, str(bad)])
         assert out.stdout.strip() == "[]"
 
     def test_json_listing(self):
@@ -677,16 +762,31 @@ class TestRun:
             cfg = small_config(name, threads=threads)
             out = tmp_path / tag
             run(cfg, output_dir=out)
-            blobs = {}
-            for p in sorted(out.iterdir()):
-                if p.name == "timing.json":
-                    continue
-                raw = p.read_bytes()
-                if p.name == "results.json":
-                    body = json.loads(raw)
-                    body["parameters"].pop("threads", None)
-                    raw = json.dumps(body, sort_keys=True).encode()
-                blobs[p.name] = raw
-            outs.append(blobs)
+            outs.append(output_blobs(out))
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]
+
+    def test_first_scipy_use_in_worker_threads(self, tmp_path):
+        # In a fresh interpreter the 4-thread runs come first, so replicas in
+        # worker threads are the first to import scipy.fft, .integrate and .special.
+        code = """
+import json, sys
+from wschebor.cli import ExperimentConfig, run
+configs, root = json.loads(sys.argv[1])
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+for threads in (4, 1):
+    for k, body in enumerate(configs):
+        run(ExperimentConfig.from_dict({**body, "seed": 7, "threads": threads}),
+            output_dir=f"{root}/{k}/{threads}")
+"""
+        configs = [
+            {"experiment": "wschebor-check", "kernel_id": "triangle", "grid_n": 2 ** 12,
+             "epsilon": 2.0 ** -5, "replicas": 4},
+            {"experiment": "stable-marginal", "kernel_id": "triangle",
+             "family": "brownian", "replicas": 40},
+            {"experiment": "ou-match", "kernel_id": "ou-exp", "replicas": 4,
+             "horizon": 5.0},
+        ]
+        fresh_python(code, [configs, str(tmp_path)])
+        for k in range(len(configs)):
+            assert output_blobs(tmp_path / str(k) / "4") == output_blobs(tmp_path / str(k) / "1")
