@@ -11,6 +11,7 @@ check under --strict, 3 internal error.
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -20,7 +21,6 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -254,21 +254,21 @@ def _occupation_ks(kernel, epsilons, seed, grid_n):
             "occupation measure of normalized increments against the Gaussian limit",
             tolerances=("ks_to_phi",))
 def run_wschebor_check(config):
+    from scipy import special
     kernel = kernel_by_id(config.kernel_id)
     tol = config.tolerance("ks_to_phi", 0.05)
+    scale = kernel.norm(2)
+    xs = np.linspace(-4.0 * scale, 4.0 * scale, 161)
 
     def one(i, seed):
         (ks_a, mu), (ks_b, _) = _occupation_ks(
             kernel, (config.epsilon, config.epsilon / 4.0), seed, config.grid_n)
-        return ks_a, ks_b, mu if i == 0 else None
+        return ks_a, ks_b, mu.cdf(xs)
 
     results = run_replicas(one, config.replicas, config.seed, config.threads)
     ks_coarse = np.array([r[0] for r in results])
     ks_fine = np.array([r[1] for r in results])
-    first = results[0][2]
-    # Trapezoid weights take two values, so each distinct one is formatted once.
-    weights = first.weights.tolist()
-    weight_repr = {w: repr(w) for w in set(weights)}
+    cdfs = np.array([r[2] for r in results])
     metrics = [
         metric("ks_to_phi", ks_coarse[0], tol),
         metric("ks_to_phi_median", float(np.median(ks_coarse)), tol),
@@ -276,13 +276,13 @@ def run_wschebor_check(config):
                float(np.median(ks_fine)), float(np.median(ks_coarse)),
                passed=bool(np.median(ks_fine) <= np.median(ks_coarse))),
     ]
+    cdf_rows = np.column_stack([xs, cdfs[0], cdfs.mean(axis=0), special.ndtr(xs / scale)])
     tables = {
         "ks_by_replica.csv": [("replica", "ks_eps", "ks_eps_over_4")] + [
             (i, repr(float(a)), repr(float(b)))
             for i, (a, b, _) in enumerate(results)],
-        "occupation_first_replica.csv": chain(
-            [("value", "weight")],
-            zip(map(repr, first.points.tolist()), map(weight_repr.__getitem__, weights))),
+        "occupation_cdf.csv": [("x", "cdf_replica_0", "cdf_pooled", "cdf_limit")] + [
+            tuple(map(repr, row)) for row in cdf_rows.tolist()],
     }
     return metrics, tables
 
@@ -580,40 +580,7 @@ def _write_outputs(out, results, elapsed, tables):
                 fh.write("\n")
             continue
         with open(out / name, "w", newline="") as fh:
-            _write_csv(fh, rows)
-
-
-CSV_BLOCK_ROWS = 4096
-
-
-def _csv_cell(value):
-    """One cell as csv.writer's default dialect writes it: str(), quoted if needed."""
-    text = str(value)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _write_csv(fh, rows):
-    """Write rows (tuples of strings and numbers) with the bytes csv.writer writes.
-
-    That is minimal quoting and CRLF line ends; only a row of one empty
-    string, which csv.writer writes as "", comes out empty.  Rows are
-    streamed in blocks: a block whose cells are all strings free of commas,
-    quotes and line breaks, which the separator counts of its joined text
-    show, is written as joined; any other block is redone cell by cell.
-    """
-    rows = iter(rows)
-    while block := list(islice(rows, CSV_BLOCK_ROWS)):
-        try:
-            text = "\r\n".join(map(",".join, block))
-        except TypeError:  # a cell that is not a string
-            text = None
-        if text is None or not (text.count(",") == sum(map(len, block)) - len(block)
-                                and text.count("\n") == text.count("\r") == len(block) - 1
-                                and '"' not in text):
-            text = "\r\n".join(",".join(map(_csv_cell, row)) for row in block)
-        fh.write(text + "\r\n")
+            csv.writer(fh).writerows(rows)
 
 
 def list_experiments(as_json=False):

@@ -14,13 +14,12 @@ from scipy import special
 import wschebor
 from wschebor import discrete, levelproc, measures
 from wschebor.cli import (
-    CSV_BLOCK_ROWS,
     EXPERIMENTS,
     TOLERANCES,
     ExperimentConfig,
     _occupation_grid,
     _occupation_ks,
-    _write_csv,
+    _write_outputs,
     list_experiments,
     main,
     metric,
@@ -83,13 +82,12 @@ def output_blobs(out):
     return blobs
 
 
-def fresh_python(code, payload):
-    """Run `code` in a fresh interpreter that imports this wschebor; payload is argv[1]."""
+def fresh_python(*args):
+    """Run `python *args` in a fresh interpreter that imports this wschebor."""
     src = os.path.dirname(os.path.dirname(wschebor.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code, json.dumps(payload)],
-                          capture_output=True, text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestSeedSplit:
@@ -379,6 +377,11 @@ class TestListing:
         assert len(lines) == 7
         assert len(EXPERIMENTS) == 7
 
+    def test_python_m_wschebor_runs_the_command_line(self):
+        out = fresh_python("-m", "wschebor", "list")  # exit 0 or CalledProcessError
+        assert out.stderr == ""
+        assert out.stdout == list_experiments() + "\n"
+
     def test_import_leaves_out_scipy_signal_and_stats(self):
         # Each costs a large share of the import time and nothing uses them.
         code = ("import sys, wschebor.cli; "
@@ -407,7 +410,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"experiment": "moment-rate", "hurst": 0.7}))
-        out = fresh_python(code, [FAST_CONFIGS, NAMED_KERNELS, str(bad)])
+        out = fresh_python("-c", code, json.dumps([FAST_CONFIGS, NAMED_KERNELS, str(bad)]))
         assert out.stdout.strip() == "[]"
 
     def test_json_listing(self):
@@ -529,15 +532,24 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "kernel_id" in capsys.readouterr().err
 
-    def test_occupation_csv_matches_per_value_formatting(self, tmp_path):
+    def test_occupation_cdf_table(self, tmp_path):
         cfg = small_config("wschebor-check")
         run(cfg, output_dir=tmp_path)
-        _, mu = separate_occupation(kernel_by_id(cfg.kernel_id), cfg.epsilon,
-                                    seed_split(cfg.seed, 0), cfg.grid_n)
-        expected = csv_writer_bytes([("value", "weight")] + [
-            (repr(float(v)), repr(float(w))) for v, w in zip(mu.points, mu.weights)])
-        with open(tmp_path / "occupation_first_replica.csv", newline="") as fh:
-            assert fh.read() == expected
+        kernel = kernel_by_id(cfg.kernel_id)
+        scale = kernel.norm(2)
+        xs = np.linspace(-4.0 * scale, 4.0 * scale, 161)
+        cdfs = [separate_occupation(kernel, cfg.epsilon, seed_split(cfg.seed, i),
+                                    cfg.grid_n)[1].cdf(xs) for i in range(cfg.replicas)]
+        with open(tmp_path / "occupation_cdf.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["x", "cdf_replica_0", "cdf_pooled", "cdf_limit"]
+        table = np.array(rows, dtype=float)
+        assert rows == [list(map(repr, row)) for row in table.tolist()]
+        assert np.array_equal(table[:, 0], xs)
+        assert table[0, 0] == -4.0 * scale and table[-1, 0] == 4.0 * scale
+        assert np.array_equal(table[:, 1], cdfs[0])
+        assert np.array_equal(table[:, 2], np.mean(cdfs, axis=0))
+        assert np.array_equal(table[:, 3], special.ndtr(xs / scale))
 
     @pytest.mark.parametrize("kernel_id", ["psi1", "psi2", "triangle", "ou-exp"])
     @pytest.mark.parametrize("grid_n, eps", [(2 ** 13, 2.0 ** -7), (1000, 0.1)])
@@ -559,28 +571,15 @@ class TestRun:
             assert np.array_equal(mu.weights.view(np.int64), mu_alone.weights.view(np.int64))
 
     @pytest.mark.parametrize("name", sorted(FAST_CONFIGS))
-    def test_csv_writer_matches_csv_module(self, name):
+    def test_csv_writer_matches_csv_module(self, tmp_path, name):
+        # Files are opened with newline="", so each holds csv.writer's CRLF bytes.
         fn, _ = EXPERIMENTS[name]
         _, tables = fn(small_config(name))
-        csv_tables = {k: list(rows) for k, rows in tables.items() if k.endswith(".csv")}
+        _write_outputs(tmp_path, {}, 0.0, tables)
+        csv_tables = {k: rows for k, rows in tables.items() if k.endswith(".csv")}
         assert csv_tables
-        for rows in csv_tables.values():
-            out = io.StringIO(newline="")
-            _write_csv(out, rows)
-            assert out.getvalue() == csv_writer_bytes(rows)
-
-    def test_csv_writer_quotes_like_csv_module(self):
-        special_rows = [("a,b", 'say "hi"'), ("line\nbreak", "cr\r"), (1, 2.5), (True, "x")]
-        plain = [(repr(0.1 * k), str(k)) for k in range(2 * CSV_BLOCK_ROWS)]
-        cases = [[], special_rows, plain,
-                 plain + special_rows + plain,
-                 [("x", "y", "z"), ("1",), ("2", "3"), (np.float64(0.1), np.int64(4))],
-                 [("a\r\nb", "c"), ("d", "e")], [('say "hi"', "x")],
-                 [(json.dumps([[0.5, 1.0]]), "0.5")]]
-        for rows in cases:
-            out = io.StringIO(newline="")
-            _write_csv(out, iter(rows))
-            assert out.getvalue() == csv_writer_bytes(rows), rows[:3]
+        for k, rows in csv_tables.items():
+            assert (tmp_path / k).read_bytes() == csv_writer_bytes(rows).encode()
 
     @pytest.mark.parametrize("kernel_id, hurst, checked", [
         ("ou-exp", 0.5, True),
@@ -787,6 +786,6 @@ for threads in (4, 1):
             {"experiment": "ou-match", "kernel_id": "ou-exp", "replicas": 4,
              "horizon": 5.0},
         ]
-        fresh_python(code, [configs, str(tmp_path)])
+        fresh_python("-c", code, json.dumps([configs, str(tmp_path)]))
         for k in range(len(configs)):
             assert output_blobs(tmp_path / str(k) / "4") == output_blobs(tmp_path / str(k) / "1")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,6 +23,29 @@ from wschebor.paths import (
 )
 
 PHI = stats.norm.cdf
+REFERENCE_SAMPLE = np.sort(np.round(np.random.default_rng(7).standard_normal(500), 1))
+
+
+def _step_cdf(x):
+    """Right-continuous, with a jump of 1/16 at every multiple of 1/4 in [-2, 2)."""
+    return np.clip(np.floor(4.0 * np.asarray(x) + 8.0) / 16.0, 0.0, 1.0)
+
+
+def _empirical_cdf(x):
+    return np.searchsorted(REFERENCE_SAMPLE, np.asarray(x), side="right") / REFERENCE_SAMPLE.size
+
+
+# Sizes around the KS node spacing of 64, crossed with a continuous and two step targets.
+KS_CASES = list(itertools.product([1, 2, 63, 64, 65, 129, 20000],
+                                  [PHI, _step_cdf, _empirical_cdf]))
+
+
+def _two_evaluation_ks(points, cum, target):
+    """KS from the target at every distinct point and just below it."""
+    cum_prev = np.concatenate(([0.0], cum[:-1]))
+    return float(np.max(np.maximum(
+        np.abs(cum - target(points)),
+        np.abs(cum_prev - target(np.nextafter(points, -np.inf))))))
 
 
 def _wschebor_measure(eps, seed, grid_n=2 ** 16):
@@ -165,36 +190,61 @@ class TestKolmogorovSmirnov:
 
     def test_tied_measure_matches_unique_reduction(self):
         rng = np.random.default_rng(5)
-        wts = rng.random(20000)
-        m = EmpiricalMeasure(np.round(rng.standard_normal(20000), 2), wts / wts.sum())
-        # The reduction by np.unique that ks_distance used before it relied
-        # on the points being sorted.
-        points, first = np.unique(m.points, return_index=True)
-        cum = np.cumsum(np.add.reduceat(m.weights, first))
-        cum_prev = np.concatenate(([0.0], cum[:-1]))
-        reference = float(np.max(np.maximum(
-            np.abs(cum - PHI(points)),
-            np.abs(cum_prev - PHI(np.nextafter(points, -np.inf))))))
-        assert ks_distance(m, PHI) == reference
-
+        for size, target in KS_CASES:
+            wts = rng.random(size)
+            m = EmpiricalMeasure(np.round(rng.standard_normal(size), 2), wts / wts.sum())
+            # The reduction by np.unique that ks_distance used before it relied
+            # on the points being sorted.
+            points, first = np.unique(m.points, return_index=True)
+            cum = np.cumsum(np.add.reduceat(m.weights, first))
+            assert ks_distance(m, target) == _two_evaluation_ks(points, cum, target), size
 
     @pytest.mark.parametrize("decimals", [None, 1])
     def test_matches_pooled_reference(self, decimals):
         rng = np.random.default_rng(6)
-        raw = rng.standard_normal(20000)
-        if decimals is not None:
-            raw = np.round(raw, decimals)
-        wts = rng.random(raw.size)
-        m = EmpiricalMeasure(raw, wts / wts.sum())
-        # Every run of equal points pooled, whether or not the support has ties.
-        first = np.flatnonzero(np.concatenate(([True], m.points[1:] != m.points[:-1])))
-        points = m.points[first]
-        cum = np.cumsum(np.add.reduceat(m.weights, first))
-        cum_prev = np.concatenate(([0.0], cum[:-1]))
-        reference = float(np.max(np.maximum(
-            np.abs(cum - PHI(points)),
-            np.abs(cum_prev - PHI(np.nextafter(points, -np.inf))))))
-        assert ks_distance(m, PHI) == reference
+        for size, target in KS_CASES:
+            raw = rng.standard_normal(size)
+            if decimals is not None:
+                raw = np.round(raw, decimals)
+            wts = rng.random(raw.size)
+            m = EmpiricalMeasure(raw, wts / wts.sum())
+            # Every run of equal points pooled, whether or not the support has ties.
+            first = np.flatnonzero(np.concatenate(([True], m.points[1:] != m.points[:-1])))
+            cum = np.cumsum(np.add.reduceat(m.weights, first))
+            assert ks_distance(m, target) == _two_evaluation_ks(m.points[first], cum,
+                                                                target), size
+
+    def test_target_evaluated_at_few_points(self):
+        # A count, unlike a timing, repeats exactly.
+        mu = _wschebor_measure(2.0 ** -10, 2024, grid_n=2 ** 18)
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return PHI(x)
+
+        assert ks_distance(mu, counted) == _two_evaluation_ks(mu.points, np.cumsum(mu.weights),
+                                                              PHI)
+        assert sum(sizes) <= 0.1 * mu.points.size
+
+    def test_target_falling_by_roundoff_matches_reference(self):
+        # The target is one ulp higher just below 1 than at 1, and that left
+        # gap, 0.25 + 2^-53, is the sup by one ulp.
+        below = np.nextafter(1.0, -np.inf)
+
+        def target(x):
+            x = np.asarray(x)
+            return np.select([x < 0.0, x < below, x < 1.0],
+                             [0.25, 0.5, np.nextafter(0.75, 1.0)], 0.75)
+
+        m = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        assert ks_distance(m, target) == _two_evaluation_ks(m.points, np.cumsum(m.weights),
+                                                           target) == 0.25 + 2.0 ** -53
+
+    def test_rejects_decreasing_target(self):
+        m = EmpiricalMeasure.from_samples(np.random.default_rng(3).standard_normal(200))
+        with pytest.raises(ParameterError):
+            ks_distance(m, lambda x: 1.0 - PHI(x))
 
 
 class TestBoundedLipschitz:
