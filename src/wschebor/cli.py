@@ -244,8 +244,7 @@ def _occupation_ks(kernel, epsilons, seed, grid_n):
     scale = kernel.norm(2)
     out = []
     for eps, src in zip(epsilons, sources):
-        inc = normalized_increment(src, kernel, eps, window=(0.0, 1.0))
-        mu = measures.occupation_measure(inc)
+        mu = measures.occupation_measure(normalized_increment(src, kernel, eps, window=(0.0, 1.0)))
         out.append((measures.ks_distance(mu, lambda x: special.ndtr(x / scale)), mu))
     return out
 
@@ -448,9 +447,8 @@ def run_discrete_lag(config):
     for idx, (name, gen) in enumerate((("gaussian", dsc.gaussian_innovations),
                                        ("uniform", dsc.uniform_innovations))):
         xs = gen(n + r, seed_split(config.seed, idx))
-        m_n = dsc.discrete_measure(xs, r)
-        metrics.append(metric(f"ks_to_phi_{name}",
-                              measures.ks_distance(m_n, special.ndtr), tol))
+        ks = measures.ks_distance(dsc.discrete_measure(xs, r), special.ndtr)
+        metrics.append(metric(f"ks_to_phi_{name}", ks, tol))
     q = schedule.sqrt_exponent
     metrics.append(metric("gaussian_coupling_regime", q, None, passed=q > 0.0))
     pairs = min(config.replicas, 20)

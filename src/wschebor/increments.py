@@ -56,8 +56,8 @@ def _trapezoid_pieces(fn, lo, hi, breakpoints, du_target):
     """Trapezoid nodes and weights for int fn(u) du, piece by piece.
 
     Each smooth piece between discontinuities gets its own grid, and the
-    function is sampled a hair inside the piece so one-sided limits are
-    picked up at jump locations.
+    float -> float function `fn` is mapped over its nodes, sampled a hair
+    inside the piece so one-sided limits are picked up at jump locations.
     """
     cuts = [lo] + [p for p in sorted(breakpoints) if lo < p < hi] + [hi]
     nodes, weights = [], []
@@ -69,7 +69,7 @@ def _trapezoid_pieces(fn, lo, hi, breakpoints, du_target):
         u_eval = u.copy()
         u_eval[0] += nudge
         u_eval[-1] -= nudge
-        w = np.asarray(fn(u_eval), dtype=float) * du
+        w = np.fromiter(map(fn, u_eval.tolist()), float, u_eval.size) * du
         w[0] *= 0.5
         w[-1] *= 0.5
         nodes.append(u)

@@ -15,6 +15,7 @@ Measures are immutable after construction.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,11 +77,17 @@ class EmpiricalMeasure:
     def is_probability(self):
         return abs(self.total_mass - 1.0) <= 1e-6
 
+    @cached_property
+    def cumulative_weights(self):
+        """Read-only running sums 0, w_0, w_0 + w_1, ...: F just left of each point, then 1."""
+        cum0 = np.zeros(self.weights.size + 1)
+        np.cumsum(self.weights, out=cum0[1:])
+        cum0.setflags(write=False)
+        return cum0
+
     def cdf(self, x):
         """Right-continuous distribution function."""
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(self.points, np.asarray(x, dtype=float), side="right")
-        vals = np.concatenate(([0.0], cum))[idx]
+        vals = self.cumulative_weights[np.searchsorted(self.points, x, side="right")]
         return float(vals) if np.isscalar(x) else vals
 
 
@@ -129,16 +136,14 @@ def ks_distance(mu, target_cdf):
     """
     if not mu.is_probability():
         raise ParameterError("Kolmogorov-Smirnov needs a probability measure")
-    points, weights = mu.points, mu.weights
+    points, cum0 = mu.points, mu.cumulative_weights
     ties = points[1:] == points[:-1]
     if ties.any():
         first = np.flatnonzero(np.concatenate(([True], ~ties)))
         points = points[first]
-        weights = np.add.reduceat(weights, first)
+        cum0 = np.concatenate(([0.0], np.cumsum(np.add.reduceat(mu.weights, first))))
     n = points.size
     # cum[i] = F(x_i) and prev[i] = F(x_i-), with F(x_0-) = 0.
-    cum0 = np.zeros(n + 1)
-    np.cumsum(weights, out=cum0[1:])
     cum, prev = cum0[1:], cum0[:-1]
     vals = np.empty(n)  # the target, filled in only where it is evaluated
 

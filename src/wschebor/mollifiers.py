@@ -63,14 +63,15 @@ class SignedKernel:
         Pure jump part of the derivative measure.
     density : callable or None
         Absolutely continuous part of the derivative measure, carried on
-        `support`.
+        `support`; float -> float, like `fourier_abs2`.
     density_breakpoints : tuple
         Interior discontinuities of the density; quadrature grids never
         straddle them.
     fourier_abs2 : callable
         Numerically stable closed form for |psi_hat|^2, the only form in
         which the theory reads the transform; `fourier` gives psi_hat
-        itself by quadrature.
+        itself by quadrature.  A float -> float function, since scalar
+        quadrature is its only reader; `psi` alone is vectorized.
     critical_hurst : float
         The index h* with psi_hat(lambda) ~ c |lambda|^{h* - 1/2} near 0,
         read off `fourier_abs2`: the spectral density at Hurst index H is
@@ -114,14 +115,10 @@ class SignedKernel:
             a, b = self.support
             a = max(a, -1e6)
             b = min(b, 1e6)
-            val, _ = integrate.quad(lambda t: np.abs(self.psi(t)) ** p, a, b,
-                                    limit=400, points=self._quad_breakpoints(a, b))
+            val, _ = integrate.quad(lambda t: np.abs(self.psi(t)) ** p, a, b, limit=400,
+                                    points=[q for q in (-1.0, 0.0, 1.0) if a < q < b] or None)
             self._norm_cache[key] = val ** (1.0 / p)
         return self._norm_cache[key]
-
-    def _quad_breakpoints(self, a, b):
-        pts = [p for p in (-1.0, 0.0, 1.0) if a < p < b]
-        return pts or None
 
 
 def fourier(kernel, lam):
@@ -164,6 +161,20 @@ def fourier(kernel, lam):
 # Named kernels
 # ---------------------------------------------------------------------------
 
+# The float evaluators below give the bits numpy gives on a 0-d array: the
+# transcendentals stay numpy's, whose results differ from `math`'s.
+def _sinc(lam):
+    """np.sinc(lam / 2 pi) as a float: sin(y) / y, y = pi * (lam / 2 pi) or eps = 2^-52."""
+    y = np.pi * (float(lam) / (2.0 * np.pi)) or 2.0 ** -52
+    return float(np.sin(y)) / y
+
+
+def _ou_abs2(lam):
+    """|psi_hat|^2 = 2 / (1 + lambda^2) of both OU kernels."""
+    lam = float(lam)
+    return 2.0 / (1.0 + lam * lam)
+
+
 def kernel_psi1():
     """Forward-difference kernel: the indicator of [-1, 0]."""
     def psi(t):
@@ -171,8 +182,7 @@ def kernel_psi1():
         return np.where((t >= -1.0) & (t <= 0.0), 1.0, 0.0)
 
     def ft_abs2(lam):
-        lam = np.asarray(lam, dtype=float)
-        return np.sinc(lam / (2.0 * np.pi)) ** 2
+        return _sinc(lam) ** 2
 
     return SignedKernel(
         kernel_id="psi1",
@@ -192,8 +202,7 @@ def kernel_psi2():
                       - np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0))
 
     def ft_abs2(lam):
-        lam = np.asarray(lam, dtype=float)
-        return (lam / 2.0) ** 2 * np.sinc(lam / (2.0 * np.pi)) ** 4
+        return (float(lam) / 2.0) ** 2 * _sinc(lam) ** 4
 
     return SignedKernel(
         kernel_id="psi2",
@@ -212,13 +221,10 @@ def kernel_triangle():
         return 0.5 * np.clip(1.0 - np.abs(t), 0.0, None)
 
     def density(t):
-        t = np.asarray(t, dtype=float)
-        return np.where((t >= -1.0) & (t < 0.0), 0.5, 0.0) \
-            - np.where((t >= 0.0) & (t <= 1.0), 0.5, 0.0)
+        return 0.5 if -1.0 <= t < 0.0 else -0.5 if 0.0 <= t <= 1.0 else 0.0
 
     def ft_abs2(lam):
-        lam = np.asarray(lam, dtype=float)
-        return 0.25 * np.sinc(lam / (2.0 * np.pi)) ** 4
+        return 0.25 * _sinc(lam) ** 4
 
     return SignedKernel(
         kernel_id="triangle",
@@ -244,12 +250,7 @@ def kernel_ou_exponential():
     def density(t):
         # Right-continuous at 0: the value there is the limit from inside
         # the support, which is what piecewise quadrature needs.
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0.0, -np.sqrt(2.0) * np.exp(-np.clip(t, 0.0, None)), 0.0)
-
-    def ft_abs2(lam):
-        lam = np.asarray(lam, dtype=float)
-        return 2.0 / (1.0 + lam ** 2)
+        return -math.sqrt(2.0) * float(np.exp(-t)) if t >= 0.0 else 0.0
 
     return SignedKernel(
         kernel_id="ou-exp",
@@ -257,7 +258,7 @@ def kernel_ou_exponential():
         support=(0.0, EXP_TAIL_CUTOFF),
         atoms=((0.0, np.sqrt(2.0)),),
         density=density,
-        fourier_abs2=ft_abs2,
+        fourier_abs2=_ou_abs2,
         critical_hurst=0.5,
     )
 
@@ -282,15 +283,11 @@ def kernel_ou_bessel():
     derivative measure and is used through its pointwise values and the
     closed form of |psi_hat|^2.
     """
-    def ft_abs2(lam):
-        lam = np.asarray(lam, dtype=float)
-        return 2.0 / (1.0 + lam ** 2)
-
     return SignedKernel(
         kernel_id="ou-bessel",
         psi=kernel_ou_bessel_value,
         support=(-EXP_TAIL_CUTOFF, EXP_TAIL_CUTOFF),
-        fourier_abs2=ft_abs2,
+        fourier_abs2=_ou_abs2,
         critical_hurst=0.5,
     )
 
@@ -314,9 +311,10 @@ def kernel_fbm_ou(hurst):
     c2 = hurst_normalizer_sq(hurst)
 
     def ft_abs2(lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(divide="ignore"):
-            return c2 * np.abs(lam) ** (2.0 * hurst - 1.0) / (np.pi * (1.0 + lam ** 2))
+        lam = float(lam)
+        if lam == 0.0 and hurst < 0.5:
+            return math.inf  # where Python's 0.0 ** (2H - 1) would raise
+        return c2 * abs(lam) ** (2.0 * hurst - 1.0) / (np.pi * (1.0 + lam * lam))
 
     return SignedKernel(
         kernel_id=f"fbm-ou:H={hurst:g}",

@@ -68,10 +68,7 @@ def _density_fn(kernel, hurst):
     expo = 1.0 - 2.0 * hurst
     # Below the critical index the density vanishes at 0; at it, the
     # finite limit is read at 1e-300, since |psi_hat|^2 alone may be infinite at 0.
-    if hurst < kernel.critical_hurst:
-        at_zero = 0.0
-    else:
-        at_zero = float(abs2(1e-300) * 1e-300 ** expo / c2)
+    at_zero = 0.0 if hurst < kernel.critical_hurst else float(abs2(1e-300) * 1e-300 ** expo / c2)
 
     def density(lam):
         if abs(lam) <= 1e-300:

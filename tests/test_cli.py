@@ -52,6 +52,20 @@ def small_config(name, **overrides):
     return ExperimentConfig.from_dict(body)
 
 
+def admitted_analytic_configs():
+    """spectral-tables and moment-rate at every named kernel and hurst in {0.3, 0.5, h*},
+    and ou-match at every named kernel, wherever validate() admits them."""
+    for name in ("spectral-tables", "moment-rate", "ou-match"):
+        for kid in NAMED_KERNELS:
+            hursts = {0.5} if name == "ou-match" else {0.3, 0.5, kernel_by_id(kid).critical_hurst}
+            for hurst in sorted(hursts):
+                try:
+                    small_config(name, kernel_id=kid, hurst=hurst)
+                except ConfigError:
+                    continue
+                yield pytest.param(name, kid, hurst, id=f"{name}-{kid}-{hurst:g}")
+
+
 def separate_occupation(kernel, eps, seed, grid_n):
     """(KS, occupation measure) at one scale, from a Brownian path of its own."""
     lo, hi, n = _occupation_grid(kernel, eps, grid_n)
@@ -753,6 +767,18 @@ class TestRun:
                 numbers = np.ravel(json.loads(cell, parse_constant=reject)) \
                     if cell.startswith("[") else [float(cell)]
                 assert all(np.isfinite(numbers)), (path.name, cell)
+
+    @pytest.mark.parametrize("name, kernel_id, hurst", admitted_analytic_configs())
+    def test_analytic_tables_hold_finite_plain_floats(self, tmp_path, name, kernel_id, hurst):
+        # Under numpy 2 the repr of a numpy scalar is "np.float64(...)", not a number.
+        run(small_config(name, kernel_id=kernel_id, hurst=hurst), output_dir=tmp_path)
+        tables = sorted(tmp_path.glob("*.csv"))
+        assert tables
+        for path in tables:
+            with open(path, newline="") as fh:
+                cells = [c for row in list(csv.reader(fh))[1:] for c in row]
+            assert cells and not [c for c in cells if "np." in c], path.name
+            assert all(np.isfinite(float(c)) for c in cells), path.name
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_byte_identical_across_runs_and_threads(self, tmp_path, name):

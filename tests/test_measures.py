@@ -70,6 +70,16 @@ class TestEmpiricalMeasure:
         assert m.cdf(1.0) == 1.0
         assert m.cdf(5.0) == 1.0
 
+    def test_cdf_reads_one_running_sum(self):
+        rng = np.random.default_rng(11)
+        m = EmpiricalMeasure(rng.standard_normal(1000), rng.random(1000))
+        cum0 = m.cumulative_weights
+        assert cum0 is m.cumulative_weights and not cum0.flags.writeable
+        x = np.concatenate([rng.standard_normal(300), m.points[:5], [-np.inf, np.inf]])
+        ref = np.concatenate(([0.0], np.cumsum(m.weights)))
+        ref = ref[np.searchsorted(m.points, x, side="right")]
+        assert np.array_equal(m.cdf(x).view(np.int64), ref.view(np.int64))
+
     def test_rejects_negative_weights(self):
         with pytest.raises(ParameterError):
             EmpiricalMeasure(np.array([0.0]), np.array([-1.0]))

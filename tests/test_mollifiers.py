@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,3 +181,102 @@ def test_kernel_registry():
 
 def test_exponential_truncation_is_negligible():
     assert np.exp(-EXP_TAIL_CUTOFF) < 1e-19
+
+
+# The kernel callables as they were written for numpy arrays, kept verbatim
+# as the reference for the float -> float ones.
+def ref_psi1_abs2(lam):
+    lam = np.asarray(lam, dtype=float)
+    return np.sinc(lam / (2.0 * np.pi)) ** 2
+
+
+def ref_psi2_abs2(lam):
+    lam = np.asarray(lam, dtype=float)
+    return (lam / 2.0) ** 2 * np.sinc(lam / (2.0 * np.pi)) ** 4
+
+
+def ref_triangle_density(t):
+    t = np.asarray(t, dtype=float)
+    return np.where((t >= -1.0) & (t < 0.0), 0.5, 0.0) \
+        - np.where((t >= 0.0) & (t <= 1.0), 0.5, 0.0)
+
+
+def ref_triangle_abs2(lam):
+    lam = np.asarray(lam, dtype=float)
+    return 0.25 * np.sinc(lam / (2.0 * np.pi)) ** 4
+
+
+def ref_ou_exp_density(t):
+    # Right-continuous at 0: the value there is the limit from inside
+    # the support, which is what piecewise quadrature needs.
+    t = np.asarray(t, dtype=float)
+    return np.where(t >= 0.0, -np.sqrt(2.0) * np.exp(-np.clip(t, 0.0, None)), 0.0)
+
+
+def ref_ou_abs2(lam):
+    lam = np.asarray(lam, dtype=float)
+    return 2.0 / (1.0 + lam ** 2)
+
+
+def ref_fbm_ou_abs2(hurst):
+    c2 = hurst_normalizer_sq(hurst)
+
+    def ft_abs2(lam):
+        lam = np.asarray(lam, dtype=float)
+        with np.errstate(divide="ignore"):
+            return c2 * np.abs(lam) ** (2.0 * hurst - 1.0) / (np.pi * (1.0 + lam ** 2))
+
+    return ft_abs2
+
+
+REFERENCE_CALLABLES = {
+    "psi1": (ref_psi1_abs2, None),
+    "psi2": (ref_psi2_abs2, None),
+    "triangle": (ref_triangle_abs2, ref_triangle_density),
+    "ou-exp": (ref_ou_abs2, ref_ou_exp_density),
+    "ou-bessel": (ref_ou_abs2, None),
+    **{f"fbm-ou:H={h}": (ref_fbm_ou_abs2(h), None) for h in (0.1, 0.3, 0.5)},
+}
+
+
+def kernel_table_points(kernel):
+    """10^5 random points over every scale and across the supports, plus the edge points."""
+    rng = np.random.default_rng(29)
+    edges = [0.0, 1e-300, 1e-250, 2.0 * np.pi, 64.0, *kernel.density_breakpoints,
+             *(e for e in kernel.support if np.isfinite(e))]
+    edges += [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    return np.concatenate([edges, np.negative(edges),
+                           rng.uniform(-70.0, 70.0, 40_000),
+                           rng.choice([-1.0, 1.0], 40_000) * 10.0 ** rng.uniform(-300, 6, 40_000),
+                           rng.uniform(-1.5, 1.5, 20_000)])
+
+
+@pytest.mark.parametrize("kid", sorted(REFERENCE_CALLABLES))
+def test_kernel_callables_match_array_reference_bit_for_bit(kid):
+    # Quadrature calls them on one scalar at a time, so that is the reference
+    # path; spectral_density's scan passes np.float64, quad passes floats.
+    kernel = kernel_by_id(kid)
+    points = kernel_table_points(kernel)
+    assert np.signbit(points[points == 0.0]).any()
+    for name, ref in zip(("fourier_abs2", "density"), REFERENCE_CALLABLES[kid]):
+        fn = getattr(kernel, name)
+        assert (fn is None) == (ref is None), name
+        if fn is None:
+            continue
+        want = np.array([float(ref(x)) for x in points])
+        for inputs in (points.tolist(), list(points)):
+            got = [fn(x) for x in inputs]
+            assert {type(v) for v in got} == {float}, (name, type(inputs[0]))
+            bad = np.flatnonzero(np.array(got).view(np.int64) != want.view(np.int64))
+            assert bad.size == 0, (name, points[bad[:5]])
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5])
+def test_fbm_ou_transform_at_zero(hurst):
+    # Infinite below H = 1/2, with neither ZeroDivisionError nor RuntimeWarning.
+    abs2 = kernel_fbm_ou(hurst).fourier_abs2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        at_zero = [abs2(0.0), abs2(-0.0), abs2(np.float64(0.0))]
+    want = np.inf if hurst < 0.5 else hurst_normalizer_sq(0.5) / np.pi
+    assert at_zero == [want] * 3

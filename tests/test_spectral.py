@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,34 @@ def test_unbounded_at_zero_is_exact(kid, hurst):
     growth = kernel.fourier_abs2(1e-250) * 1e-250 ** expo \
         / (kernel.fourier_abs2(1e-6) * 1e-6 ** expo)
     assert bool(growth > 2.0) == unbounded
+
+
+@pytest.mark.parametrize("kid", ["psi1", "psi2", "triangle", "ou-exp", "ou-bessel",
+                                 "fbm-ou:H=0.4"])
+def test_quadrature_reads_plain_floats(kid):
+    # The kernel callables are called tens of thousands of times per run; a
+    # numpy scalar back from one means the 7-12 us 0-d array path, not the
+    # sub-microsecond float arithmetic.  Unlike a timing, the types repeat.
+    kernel = kernel_by_id(kid)
+    returned = []
+
+    def recorded(fn):
+        def call(x):
+            returned.append(type(value := fn(x)))
+            return value
+        return call
+
+    fields = {name: recorded(getattr(kernel, name)) for name in ("fourier_abs2", "density")
+              if getattr(kernel, name) is not None}
+    kernel = dataclasses.replace(kernel, **fields)
+    hurst = min(0.5, kernel.critical_hurst)
+    dens = spectral_density(kernel, hurst)
+    for t in (0.5, 1.0, 2.0):
+        covariance_from_density(dens, t)
+    if kernel.has_derivative_measure:
+        sigma_sq(kernel, hurst)
+    assert len(returned) > 1000
+    assert set(returned) == {float}
 
 
 class TestCovariance:
