@@ -50,14 +50,29 @@ def run_replicas(fn, replicas, master_seed, threads=1):
 # Configuration
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS = {}
-TOLERANCES = {}  # experiment name -> the tolerance names it reads
+EXPERIMENTS = {}  # name -> (fn, description)
+SPECS = {}        # name -> ExperimentSpec
+# Every experiment may be given these; it must declare any other field it reads.
+COMMON_FIELDS = {"experiment", "replicas", "seed", "threads", "output_dir", "tolerances"}
 
 
-def experiment(name, description, tolerances=()):
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """The config fields an experiment reads beyond COMMON_FIELDS, the tolerance
+    names it reads, its check(config) of field combinations it cannot run, and
+    its own defaults for fields it reads."""
+
+    reads: frozenset
+    tolerances: frozenset
+    check: object
+    defaults: dict
+
+
+def experiment(name, description, reads, tolerances=(), check=None, defaults=None):
     def wrap(fn):
         EXPERIMENTS[name] = (fn, description)
-        TOLERANCES[name] = frozenset(tolerances)
+        SPECS[name] = ExperimentSpec(frozenset(reads), frozenset(tolerances), check,
+                                     defaults or {})
         return fn
     return wrap
 
@@ -100,95 +115,51 @@ class ExperimentConfig:
             kind = fields[name].type
             if not _fits(value, kind):
                 raise ConfigError(name, f"must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if data["experiment"] in SPECS:
+            data = {**SPECS[data["experiment"]].defaults, **data}
         cfg = cls(**data)
         cfg.validate()
         return cfg
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
+        """The shared checks, then the experiment's own.  A field the experiment
+        does not read keeps its default, so a config names only the run it makes."""
+        spec = SPECS.get(self.experiment)
+        if spec is None:
             raise ConfigError("experiment",
                               f"unknown experiment {self.experiment!r}; "
-                              f"choose from {sorted(EXPERIMENTS)}")
+                              f"choose from {sorted(SPECS)}")
+        for name, f in self.__dataclass_fields__.items():
+            if name not in COMMON_FIELDS and name not in spec.reads \
+                    and getattr(self, name) != f.default:
+                raise ConfigError(name, f"{self.experiment} does not read this field; "
+                                        f"it reads {sorted(spec.reads)}")
         try:
-            kernel = kernel_by_id(self.kernel_id)
+            kernel_by_id(self.kernel_id)
         except WscheborError as exc:
             raise ConfigError("kernel_id", str(exc))
-        if self.experiment == "ou-match" and kernel.kernel_id not in ("ou-exp", "ou-bessel"):
-            raise ConfigError("kernel_id", "ou-match needs the ou-exp or ou-bessel kernel")
-        if self.family not in ("brownian", "stable", "fbm"):
-            raise ConfigError("family", f"unknown process family {self.family!r}")
-        if not 0.0 < self.hurst < 1.0:
-            raise ConfigError("hurst", "must lie in (0, 1)")
-        if not 0.0 < self.alpha <= 2.0:
-            raise ConfigError("alpha", "must lie in (0, 2]")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon", "must be positive")
-        if self.replicas < 1:
-            raise ConfigError("replicas", "must be at least 1")
-        if self.grid_n < 8:
-            raise ConfigError("grid_n", "must be at least 8")
-        if self.experiment in ("wschebor-check", "stable-marginal") \
-                and not kernel.has_derivative_measure:
-            raise ConfigError("kernel_id", f"{self.experiment} needs a kernel with a "
-                                           f"derivative measure; {kernel.kernel_id!r} has none")
-        if self.experiment in ("spectral-tables", "moment-rate") \
-                and spectral.unbounded_at_zero(kernel, self.hurst):
-            raise ConfigError("hurst", f"the spectral density of {kernel.kernel_id!r} is "
-                                       f"unbounded at 0 for hurst {self.hurst:g} above "
-                                       f"its critical index {kernel.critical_hurst:g}")
-        if self.experiment == "ou-match":
-            if self.horizon <= max(OU_LAGS):
-                raise ConfigError("horizon", "must exceed the largest checked lag, "
-                                             f"{max(OU_LAGS):g}")
-            if self.replicas < 2:
-                raise ConfigError("replicas", "ou-match needs at least 2 replicas "
-                                              "for the standard errors of its checks")
-        if self.experiment == "level-process":
-            if self.s_count < 2:
-                raise ConfigError("s_count", "must be at least 2")
-            if self.t_count < 1:
-                raise ConfigError("t_count", "must be at least 1")
-        if self.experiment == "discrete-lag" and self.n_discrete < 2 ** 8:
-            raise ConfigError("n_discrete", "must be at least 256, so that the coupling "
-                                            "check can compare against n_discrete // 16")
-        if self.experiment == "wschebor-check":
-            # The check also runs at epsilon/4, which must span the minimum
-            # number of steps of the source grid that _occupation_ks builds.
-            fine = self.epsilon / 4.0
-            lo, hi, n = _occupation_grid(kernel, fine, self.grid_n)
-            if fine < MIN_EPS_OVER_DT * ((hi - lo) / (n - 1)):
-                raise ConfigError("grid_n", f"epsilon/4 = {fine:g} is below "
-                                            f"{MIN_EPS_OVER_DT:g} steps of a 1/{self.grid_n} "
-                                            "grid; raise grid_n or epsilon")
-        if self.threads < 1:
-            raise ConfigError("threads", "must be at least 1")
-        unknown = set(self.tolerances) - TOLERANCES[self.experiment]
+        for name, ok, rule in (
+                ("family", self.family in ("brownian", "stable", "fbm"),
+                 f"unknown process family {self.family!r}"),
+                ("hurst", 0.0 < self.hurst < 1.0, "must lie in (0, 1)"),
+                ("alpha", 0.0 < self.alpha <= 2.0, "must lie in (0, 2]"),
+                ("epsilon", self.epsilon > 0, "must be positive"),
+                ("replicas", self.replicas >= 1, "must be at least 1"),
+                ("grid_n", self.grid_n >= 8, "must be at least 8"),
+                ("t_count", self.t_count >= 1, "must be at least 1"),
+                ("s_count", self.s_count >= 2, "must be at least 2"),
+                ("n_discrete", self.n_discrete >= 2 ** 8, "must be at least 256, so that "
+                 "the coupling check can compare against n_discrete // 16"),
+                ("threads", self.threads >= 1, "must be at least 1")):
+            if not ok:
+                raise ConfigError(name, rule)
+        unknown = set(self.tolerances) - spec.tolerances
         if unknown:
             raise ConfigError("tolerances", f"{self.experiment} reads no tolerance "
                                             f"{sorted(unknown)[0]!r}; it reads "
-                                            f"{sorted(TOLERANCES[self.experiment])}")
-        self._parse_lag()
-
-    def _parse_lag(self):
-        kind = self.lag_kind
-        if kind == "overlog":
-            return dsc.over_log_schedule()
-        if kind.startswith("power:gamma="):
-            try:
-                gamma = float(kind.split("=", 1)[1])
-            except ValueError:
-                raise ConfigError("lag_kind", f"malformed schedule {kind!r}")
-            if not 0.0 < gamma < 1.0:
-                raise ConfigError("lag_kind", "gamma must lie in (0, 1)")
-            return dsc.power_schedule(gamma)
-        raise ConfigError("lag_kind", f"unknown schedule {kind!r}")
-
-    def descriptor(self):
-        return ProcessDescriptor(
-            self.family,
-            hurst=self.hurst if self.family == "fbm" else None,
-            alpha=self.alpha if self.family == "stable" else None,
-        )
+                                            f"{sorted(spec.tolerances)}")
+        if spec.check is not None:
+            spec.check(self)
 
     def tolerance(self, name, default):
         return float(self.tolerances.get(name, default))
@@ -249,9 +220,30 @@ def _occupation_ks(kernel, epsilons, seed, grid_n):
     return out
 
 
+def _derivative_kernel(config):
+    """The config's kernel, which must carry a derivative measure."""
+    kernel = kernel_by_id(config.kernel_id)
+    if not kernel.has_derivative_measure:
+        raise ConfigError("kernel_id", f"{config.experiment} needs a kernel with a "
+                                       f"derivative measure; {kernel.kernel_id!r} has none")
+    return kernel
+
+
+def _check_wschebor(config):
+    # The check also runs at epsilon/4, which must span the minimum
+    # number of steps of the source grid that _occupation_ks builds.
+    fine = config.epsilon / 4.0
+    lo, hi, n = _occupation_grid(_derivative_kernel(config), fine, config.grid_n)
+    if fine < MIN_EPS_OVER_DT * ((hi - lo) / (n - 1)):
+        raise ConfigError("grid_n", f"epsilon/4 = {fine:g} is below "
+                                    f"{MIN_EPS_OVER_DT:g} steps of a 1/{config.grid_n} "
+                                    "grid; raise grid_n or epsilon")
+
+
 @experiment("wschebor-check",
             "occupation measure of normalized increments against the Gaussian limit",
-            tolerances=("ks_to_phi",))
+            reads=("kernel_id", "epsilon", "grid_n"), tolerances=("ks_to_phi",),
+            check=_check_wschebor)
 def run_wschebor_check(config):
     from scipy import special
     kernel = kernel_by_id(config.kernel_id)
@@ -286,9 +278,18 @@ def run_wschebor_check(config):
     return metrics, tables
 
 
+def _check_bounded_density(config):
+    kernel = kernel_by_id(config.kernel_id)
+    if spectral.unbounded_at_zero(kernel, config.hurst):
+        raise ConfigError("hurst", f"the spectral density of {kernel.kernel_id!r} is "
+                                   f"unbounded at 0 for hurst {config.hurst:g} above "
+                                   f"its critical index {kernel.critical_hurst:g}")
+
+
 @experiment("spectral-tables",
             "spectral density and covariance tables with the variance identity",
-            tolerances=("variance_consistency",))
+            reads=("kernel_id", "hurst"), tolerances=("variance_consistency",),
+            check=_check_bounded_density)
 def run_spectral_tables(config):
     kernel = kernel_by_id(config.kernel_id)
     dens = spectral.spectral_density(kernel, config.hurst)
@@ -313,9 +314,21 @@ def run_spectral_tables(config):
 OU_LAGS = (0.0, 1.0, 2.0)
 
 
+def _check_ou_match(config):
+    if config.kernel_id not in ("ou-exp", "ou-bessel"):
+        raise ConfigError("kernel_id", "ou-match needs the ou-exp or ou-bessel kernel")
+    if config.horizon <= max(OU_LAGS):
+        raise ConfigError("horizon", "must exceed the largest checked lag, "
+                                     f"{max(OU_LAGS):g}")
+    if config.replicas < 2:
+        raise ConfigError("replicas", "ou-match needs at least 2 replicas "
+                                      "for the standard errors of its checks")
+
+
 @experiment("ou-match",
             "covariance of the unit-scale process against the OU law, with kernel checks",
-            tolerances=("fourier_error",))
+            reads=("kernel_id", "horizon"), tolerances=("fourier_error",),
+            check=_check_ou_match, defaults={"kernel_id": "ou-exp"})
 def run_ou_match(config):
     kernel = kernel_by_id(config.kernel_id)
     checks = spectral.verify_ou_match(kernel, OU_LAGS,
@@ -342,7 +355,8 @@ def run_ou_match(config):
 
 @experiment("moment-rate",
             "rate function of the time-averaged squared increment process",
-            tolerances=("closed_form_error", "rate_at_variance"))
+            reads=("kernel_id", "hurst"), tolerances=("closed_form_error", "rate_at_variance"),
+            check=_check_bounded_density)
 def run_moment_rate(config):
     kernel = kernel_by_id(config.kernel_id)
     dens = spectral.spectral_density(kernel, config.hurst)
@@ -372,15 +386,16 @@ def run_moment_rate(config):
 
 @experiment("level-process",
             "characteristic functionals and ball frequencies of the window cloud",
-            tolerances=("char_functional",))
+            reads=("epsilon", "t_count", "s_count"), tolerances=("char_functional",))
 def run_level_process(config):
     eps = config.epsilon
     s_count = config.s_count
 
     def cloud_at(epsilon, stream):
         dt = min(epsilon / (s_count - 1), 1.0 / config.t_count)  # base times on nodes
-        n = int(round((1.0 + epsilon) / dt)) + 1
-        src = simulate_brownian(n, 1.0 + epsilon, seed_split(config.seed, stream))
+        # Whole steps of dt that cover [0, 1 + epsilon], so the path keeps step dt.
+        n = math.ceil((1.0 + epsilon) / dt - 1e-9) + 1
+        src = simulate_brownian(n, (n - 1) * dt, seed_split(config.seed, stream))
         return levelproc.extract_cloud(src, epsilon, config.t_count, s_count)
 
     cloud = cloud_at(eps, 0)
@@ -433,12 +448,26 @@ def run_level_process(config):
     return metrics, tables
 
 
+def _lag_schedule(config):
+    """The schedule `lag_kind` names: "overlog" or "power:gamma=<g>", 0 < g < 1."""
+    kind = config.lag_kind
+    try:
+        if kind == "overlog":
+            return dsc.over_log_schedule()
+        if kind.startswith("power:gamma="):
+            return dsc.power_schedule(float(kind.split("=", 1)[1]))
+    except ValueError as exc:  # a malformed number, or ParameterError
+        raise ConfigError("lag_kind", f"bad schedule {kind!r}: {exc}")
+    raise ConfigError("lag_kind", f"unknown schedule {kind!r}")
+
+
 @experiment("discrete-lag",
             "sliding-window increment measures with growing lags",
-            tolerances=("ks_to_phi",))
+            reads=("lag_kind", "n_discrete"), tolerances=("ks_to_phi",),
+            check=_lag_schedule)
 def run_discrete_lag(config):
     from scipy import special
-    schedule = config._parse_lag()
+    schedule = _lag_schedule(config)
     n = config.n_discrete
     r = int(schedule.r(n))
     # Windows of lag r overlap, so only about n / r of them are independent.
@@ -471,12 +500,16 @@ def run_discrete_lag(config):
 
 
 @experiment("stable-marginal",
-            "marginal of the stable increment process against the scaled stable law")
+            "marginal of the stable increment process against the scaled stable law",
+            reads=("kernel_id", "family", "hurst", "alpha", "epsilon"),
+            check=_derivative_kernel)
 def run_stable_marginal(config):
     kernel = kernel_by_id(config.kernel_id)
     alpha = config.alpha
     eps = config.epsilon
-    desc = config.descriptor()
+    desc = ProcessDescriptor(config.family,
+                             hurst=config.hurst if config.family == "fbm" else None,
+                             alpha=alpha if config.family == "stable" else None)
 
     def one(i, seed):
         lo, hi = dpsi_window(kernel, eps, (0.0, eps))
@@ -583,7 +616,10 @@ def _write_outputs(out, results, elapsed, tables):
 
 def list_experiments(as_json=False):
     if as_json:
-        return json.dumps({name: desc for name, (_, desc) in sorted(EXPERIMENTS.items())},
+        return json.dumps({name: {"description": desc,
+                                  "fields": sorted(SPECS[name].reads),
+                                  "tolerances": sorted(SPECS[name].tolerances)}
+                           for name, (_, desc) in EXPERIMENTS.items()},
                           indent=2, sort_keys=True)
     lines = [f"{name}: {desc}" for name, (_, desc) in sorted(EXPERIMENTS.items())]
     return "\n".join(lines)

@@ -24,13 +24,12 @@ from .paths import simulate_brownian
 
 @dataclass(frozen=True)
 class LagSchedule:
-    """The lag sequence n -> r_n, named by `label`.
+    """The lag sequence n -> r_n.
 
     A power schedule (`gamma` in (0, 1)) has r_n = max(floor(n^gamma), 1);
     the overlog schedule (`gamma` None) has r_n = max(floor(n / log n), 1).
     """
 
-    label: str
     gamma: float | None
 
     def r(self, n):
@@ -52,18 +51,18 @@ class LagSchedule:
 def power_schedule(gamma):
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie in (0, 1)")
-    return LagSchedule(f"power:gamma={gamma:g}", gamma)
+    return LagSchedule(gamma)
 
 
 def over_log_schedule():
-    return LagSchedule("overlog", None)
+    return LagSchedule(None)
 
 
 # ---------------------------------------------------------------------------
 # The sliding-window measure
 # ---------------------------------------------------------------------------
 
-def discrete_measure(xs, r, meta=None):
+def discrete_measure(xs, r):
     """Measure of n = len(xs) - r normalized window sums, in O(n).
 
     The innovation sequence is treated as padded to length n + r; window
@@ -78,10 +77,7 @@ def discrete_measure(xs, r, meta=None):
         raise ParameterError(f"need at least r + 1 = {r + 1} innovations, got {xs.size}")
     s = np.concatenate(([0.0], np.cumsum(xs)))
     v = (s[1 + r:] - s[1:n + 1]) / np.sqrt(r)
-    m = dict(meta or {})
-    m.setdefault("lag", r)
-    m.setdefault("n", n)
-    return EmpiricalMeasure.from_samples(v, m)
+    return EmpiricalMeasure.from_samples(v)
 
 
 def gaussian_innovations(n_total, seed):
@@ -115,7 +111,7 @@ def coupled_pair(n, r, seed, oversample=8):
     path = simulate_brownian(n_nodes, total, seed)
     coarse = path.values[::oversample]
     v = (coarse[r:n + r] - coarse[:n]) / np.sqrt(eps)
-    m_n = EmpiricalMeasure.from_samples(v, {"seed": seed, "lag": r, "n": n})
+    m_n = EmpiricalMeasure.from_samples(v, {"seed": seed})
     cont = normalized_increment(path, kernel_psi1(), eps, window=(0.0, 1.0))
     mu = occupation_measure(cont)
     return m_n, mu

@@ -152,8 +152,7 @@ def dot_increment(source, kernel, epsilon, window=(0.0, 1.0)):
             f"kernel {kernel.kernel_id!r} carries no derivative measure")
     i0, i1 = _output_slice(source, window, dpsi_window(kernel, epsilon, window))
     out = _apply_stencil(_dpsi_stencil(kernel, epsilon, source.dt), source.values, i0, i1)
-    meta = dict(source.meta, kernel=kernel.kernel_id, epsilon=epsilon, transform="dot")
-    return GridPath(source.t_start + i0 * source.dt, source.dt, out, meta)
+    return GridPath(source.t_start + i0 * source.dt, source.dt, out, source.meta)
 
 
 def _hurst_index(source):

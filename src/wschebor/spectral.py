@@ -232,14 +232,12 @@ def _filter_weights(kernel, dt):
     return half, np.asarray(kernel.psi((m - 0.5) * dt), dtype=float)
 
 
-def _filter_brownian_increments(half, weights, horizon, dt, seed, kernel_id):
+def _filter_brownian_increments(half, weights, horizon, dt, seed):
     n_cells = int(round((horizon + 2 * half) / dt))
     rng = np.random.Generator(np.random.PCG64(seed))
     dw = rng.standard_normal(n_cells) * np.sqrt(dt)
     vals = correlate_valid(dw, weights)
-    meta = {"descriptor": ProcessDescriptor(BROWNIAN, seed=seed),
-            "kernel": kernel_id, "transform": "filter"}
-    return GridPath(0.0, dt, vals, meta)
+    return GridPath(0.0, dt, vals, {"descriptor": ProcessDescriptor(BROWNIAN, seed=seed)})
 
 
 def _unit_scale_sampler(kernel, horizon):
@@ -258,8 +256,7 @@ def _unit_scale_sampler(kernel, horizon):
         half, weights = _filter_weights(kernel, dt)
 
         def draw(seed):
-            return _filter_brownian_increments(half, weights, horizon, dt, seed,
-                                               kernel.kernel_id)
+            return _filter_brownian_increments(half, weights, horizon, dt, seed)
     return draw
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -5,17 +6,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import wschebor
 from wschebor import discrete, levelproc, measures
 from wschebor.cli import (
+    COMMON_FIELDS,
     EXPERIMENTS,
-    TOLERANCES,
+    SPECS,
     ExperimentConfig,
     _occupation_grid,
     _occupation_ks,
@@ -96,6 +102,101 @@ def output_blobs(out):
     return blobs
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def assert_strict_outputs(out):
+    """Every JSON output is strict JSON and every CSV data cell a finite number."""
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=reject_constant)
+            continue
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows, path.name
+        for cell in (c for row in rows for c in row):
+            # The char_functional.csv atoms column is a JSON list of numbers.
+            numbers = np.ravel(json.loads(cell, parse_constant=reject_constant)) \
+                if cell.startswith("[") else [float(cell)]
+            assert all(np.isfinite(numbers)), (path.name, cell)
+
+
+def run_main(payload, out, *extra):
+    """(exit code, stderr) of `wschebor run` on a JSON config payload."""
+    cfg_path = out.parent / f"{out.name}.json"
+    cfg_path.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(cfg_path), "--output", str(out), *extra])
+    return code, err.getvalue()
+
+
+def fields_read(fn, config):
+    """The config fields beyond COMMON_FIELDS that fn(config) reads."""
+    seen = set()
+
+    class Spy(ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in ExperimentConfig.__dataclass_fields__:
+                seen.add(name)
+            return super().__getattribute__(name)
+
+    fn(Spy(**config.to_dict()))
+    return seen - COMMON_FIELDS
+
+
+# A valid value other than the default for each experiment-specific field.
+VALID_VALUES = {"kernel_id": "triangle", "family": "fbm", "hurst": 0.3, "alpha": 1.5,
+                "epsilon": 0.125, "lag_kind": "overlog", "grid_n": 2 ** 12,
+                "horizon": 10.0, "t_count": 2 ** 10, "s_count": 9, "n_discrete": 2 ** 10}
+
+
+def unread_field_cases():
+    for name, spec in sorted(SPECS.items()):
+        for field in sorted(set(VALID_VALUES) - spec.reads):
+            yield pytest.param(name, {field: VALID_VALUES[field]}, field,
+                               id=f"{name}-{field}")
+    yield pytest.param("level-process", {"family": "stable", "alpha": 1.2, "t_count": 1024,
+                                         "epsilon": 2.0 ** -6}, "family",
+                       id="level-process-stable-family")
+    yield pytest.param("wschebor-check", {"horizon": 3.0, "alpha": 1.1}, "alpha",
+                       id="wschebor-check-horizon-alpha")
+
+
+# Cheap values of every experiment-specific field, valid or not for a given experiment.
+CHEAP_VALUES = {
+    "kernel_id": st.sampled_from(NAMED_KERNELS + ("fbm-ou:H=0.1", "fbm-ou:H=0.5", "psi9")),
+    "family": st.sampled_from(["brownian", "stable", "fbm"]),
+    "hurst": st.sampled_from([0.1, 0.3, 0.4, 0.5, 0.7]),
+    "alpha": st.sampled_from([0.7, 1.0, 1.3, 2.0]),
+    "epsilon": st.sampled_from([2.0 ** -k for k in range(1, 8)] + [0.3]),
+    "lag_kind": st.sampled_from(["overlog", "power:gamma=0.3", "power:gamma=0.6"]),
+    "grid_n": st.sampled_from([2 ** 9, 2 ** 10, 1000]),
+    "horizon": st.floats(1.0, 6.0),
+    "t_count": st.integers(1, 2 ** 9),
+    "s_count": st.integers(1, 9),
+    "n_discrete": st.sampled_from([2 ** 8, 2 ** 9, 1000]),
+}
+
+
+@st.composite
+def cheap_configs(draw):
+    """(config, whether it sets a field its experiment does not read)."""
+    name = draw(st.sampled_from(sorted(SPECS)))
+    body = {"experiment": name, "seed": draw(st.integers(0, 2 ** 32)),
+            "replicas": draw(st.integers(2, 4)), "threads": draw(st.sampled_from([1, 2]))}
+    for field in sorted(SPECS[name].reads):
+        # The sizes are always drawn, since their defaults are the full-size runs.
+        if field in ("epsilon", "grid_n", "horizon", "t_count", "n_discrete") \
+                or draw(st.booleans()):
+            body[field] = draw(CHEAP_VALUES[field])
+    unread = draw(st.none() | st.sampled_from(sorted(set(CHEAP_VALUES) - SPECS[name].reads)))
+    if unread is not None:
+        body[unread] = VALID_VALUES[unread]
+    return body, unread is not None
+
+
 def fresh_python(*args):
     """Run `python *args` in a fresh interpreter that imports this wschebor."""
     src = os.path.dirname(os.path.dirname(wschebor.__file__))
@@ -122,9 +223,10 @@ class TestSeedSplit:
 
 class TestConfig:
     def test_roundtrip(self):
-        cfg = small_config("wschebor-check")
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+        # The echoed parameters hold every field, read or not, at its value.
+        for name in SPECS:
+            for cfg in (small_config(name), ExperimentConfig.from_dict({"experiment": name})):
+                assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError) as err:
@@ -143,11 +245,41 @@ class TestConfig:
         assert err.value.field == "kernel_id"
 
     def test_invalid_numbers(self):
-        for field, value in (("hurst", 1.5), ("alpha", 0.0), ("epsilon", -1.0),
-                             ("replicas", 0), ("threads", 0)):
+        for name, field, value in (("moment-rate", "hurst", 1.5),
+                                   ("stable-marginal", "alpha", 0.0),
+                                   ("stable-marginal", "epsilon", -1.0),
+                                   ("moment-rate", "replicas", 0),
+                                   ("moment-rate", "threads", 0)):
             with pytest.raises(ConfigError) as err:
-                ExperimentConfig.from_dict({"experiment": "moment-rate", field: value})
+                ExperimentConfig.from_dict({"experiment": name, field: value})
             assert err.value.field == field
+            assert "does not read" not in str(err.value)
+
+    def test_declared_fields_are_the_fields_read(self):
+        # Each experiment's declaration against the fields its code reads.
+        read = {name: set() for name in EXPERIMENTS}
+        for name, overrides in [*((name, {}) for name in sorted(FAST_CONFIGS)),
+                                ("stable-marginal", {"family": "brownian"}),
+                                ("stable-marginal", {"family": "fbm", "hurst": 0.4})]:
+            cfg = small_config(name, **overrides)
+            read[name] |= fields_read(EXPERIMENTS[name][0], cfg)
+            if SPECS[name].check is not None:
+                assert fields_read(SPECS[name].check, cfg) <= SPECS[name].reads
+        assert read == {name: spec.reads for name, spec in SPECS.items()}
+        assert sum(len(spec.reads) for spec in SPECS.values()) == 19
+
+    def test_unread_table_values_are_valid_where_read(self):
+        for field, value in VALID_VALUES.items():
+            name = next(n for n, spec in sorted(SPECS.items()) if field in spec.reads)
+            assert getattr(small_config(name, **{field: value}), field) == value
+
+    @pytest.mark.parametrize("name, overrides, field", unread_field_cases())
+    def test_unread_field_exits_1(self, tmp_path, name, overrides, field):
+        code, err = run_main({"experiment": name, **FAST_CONFIGS[name], **overrides},
+                             tmp_path / "out", "--strict")
+        assert code == 1
+        assert err.startswith(f"config error: {field}: {name} does not read this field")
+        assert not (tmp_path / "out").exists()
 
     def test_lag_kinds(self):
         ExperimentConfig.from_dict({"experiment": "discrete-lag",
@@ -185,7 +317,8 @@ MALFORMED = {
     "tolerances-nan-value": ({"experiment": "moment-rate",
                               "tolerances": {"closed_form_error": float("nan")}}, [],
                              "tolerances:", 1),
-    "ou-match-default-kernel": ({"experiment": "ou-match"}, [], "kernel_id:", 1),
+    "ou-match-psi1-kernel": ({"experiment": "ou-match", "kernel_id": "psi1"}, [],
+                             "kernel_id:", 1),
     "wschebor-check-coarse-grid": ({"experiment": "wschebor-check", "grid_n": 8}, [],
                                    "grid_n:", 1),
     "spectral-tables-unbounded-fbm-ou": ({"experiment": "spectral-tables",
@@ -267,7 +400,8 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_valid_edges_still_accepted(self):
-        ExperimentConfig.from_dict({"experiment": "moment-rate", "epsilon": 1,
+        ExperimentConfig.from_dict({"experiment": "stable-marginal", "epsilon": 1})
+        ExperimentConfig.from_dict({"experiment": "moment-rate",
                                     "tolerances": {"closed_form_error": 1}})
         ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-bessel"})
         # epsilon/4 is 4 steps of a 1/256 grid, the coarsest that admits it
@@ -283,18 +417,20 @@ class TestExitCodes:
                                         "kernel_id": "fbm-ou:H=0.4", "hurst": hurst})
         ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-exp",
                                     "replicas": 2})
-        for name, names in TOLERANCES.items():
+        for name, spec in SPECS.items():
             ExperimentConfig.from_dict({"experiment": name, **FAST_CONFIGS[name],
-                                        "tolerances": {t: 1.0 for t in names}})
+                                        "tolerances": {t: 1.0 for t in spec.tolerances}})
         ExperimentConfig.from_dict({"experiment": "discrete-lag", "n_discrete": 2 ** 8})
         # horizon only has to exceed the largest checked lag, 2
         ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-exp",
                                     "horizon": 2.0 + 2.0 ** -8})
         ExperimentConfig.from_dict({"experiment": "level-process", "s_count": 2,
                                     "t_count": 1})
-        # the bounds above bind only the experiments that read the field
-        ExperimentConfig.from_dict({"experiment": "moment-rate", "horizon": 0.5,
-                                    "s_count": 1, "t_count": 0})
+        # an experiment refuses a field it does not read, in or out of bounds
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"experiment": "moment-rate", "horizon": 0.5,
+                                        "s_count": 1, "t_count": 0})
+        assert err.value.field == "horizon"
 
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(config):
@@ -430,6 +566,12 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     def test_json_listing(self):
         payload = json.loads(list_experiments(as_json=True))
         assert sorted(payload) == sorted(EXPERIMENTS)
+        for name, entry in payload.items():
+            assert entry == {"description": EXPERIMENTS[name][1],
+                             "fields": sorted(SPECS[name].reads),
+                             "tolerances": sorted(SPECS[name].tolerances)}
+        assert payload["ou-match"]["fields"] == ["horizon", "kernel_id"]
+        assert payload["stable-marginal"]["tolerances"] == []
 
     def test_cli_entrypoints(self, capsys):
         assert main(["list"]) == 0
@@ -702,6 +844,22 @@ class TestRun:
         assert checks["gaussian_coupling_regime"]["value"] == pytest.approx(q)
         assert checks["gaussian_coupling_regime"]["pass"]
 
+    def test_ou_match_defaults_to_the_ou_exp_kernel(self, tmp_path):
+        assert run_main({"experiment": "ou-match"}, tmp_path / "out", "--strict") == (0, "")
+        res = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert res["parameters"]["kernel_id"] == "ou-exp"
+
+    @pytest.mark.parametrize("overrides", [
+        {"epsilon": 0.3, "s_count": 2, "t_count": 1},
+        {"epsilon": 0.3, "s_count": 5, "t_count": 7},
+        {"epsilon": 0.15, "s_count": 6, "t_count": 10}])
+    def test_level_process_source_steps_cover_the_horizon(self, tmp_path, overrides):
+        # (1 + epsilon) / dt is no integer here, and rounding it gave a step
+        # above epsilon * s_step, which extract_cloud refuses.
+        code, err = run_main({"experiment": "level-process", **overrides}, tmp_path / "out")
+        assert code == 0, err
+        assert_strict_outputs(tmp_path / "out")
+
     @pytest.mark.parametrize("kernel_id", ["ou-exp", "ou-bessel"])
     @pytest.mark.parametrize("field, failing", [
         pytest.param(None, (), id="unmutated"),
@@ -751,22 +909,23 @@ class TestRun:
         pytest.param("moment-rate", {"kernel_id": "psi2", "hurst": 0.9},
                      id="moment-rate-psi2-at-0_9")])
     def test_outputs_are_strict_json_and_finite_csv(self, tmp_path, name, overrides):
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
         run(small_config(name, **overrides), output_dir=tmp_path)
-        for path in sorted(tmp_path.iterdir()):
-            if path.suffix == ".json":
-                json.loads(path.read_text(), parse_constant=reject)
-                continue
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))[1:]
-            assert rows, path.name
-            for cell in (c for row in rows for c in row):
-                # The char_functional.csv atoms column is a JSON list of numbers.
-                numbers = np.ravel(json.loads(cell, parse_constant=reject)) \
-                    if cell.startswith("[") else [float(cell)]
-                assert all(np.isfinite(numbers)), (path.name, cell)
+        assert_strict_outputs(tmp_path)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(cheap_configs())
+    def test_cheap_configs_exit_cleanly(self, case):
+        # Over every experiment, kernel and family: no internal error, and a
+        # run that completes writes strict JSON and finite tables.
+        payload, sets_unread = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code, err = run_main(payload, out)
+            assert code in ((1,) if sets_unread else (0, 1, 2)), (payload, err)
+            if code == 1:
+                assert not out.exists()
+            else:
+                assert_strict_outputs(out)
 
     @pytest.mark.parametrize("name, kernel_id, hurst", admitted_analytic_configs())
     def test_analytic_tables_hold_finite_plain_floats(self, tmp_path, name, kernel_id, hurst):

@@ -131,7 +131,8 @@ class TestSchedules:
 class TestCoupling:
     def test_identical_measures(self):
         xs = gaussian_innovations(1000, 0)
-        m = discrete_measure(xs, 10, meta={"seed": 0})
+        m = discrete_measure(xs, 10)
+        m.meta["seed"] = 0
         assert coupling_distance(m, m) == 0.0
 
     def test_seed_mismatch(self):
