@@ -48,11 +48,11 @@ from .increments import (
 )
 from .measures import (
     EmpiricalMeasure,
-    dbl_distance,
     ks_critical_value,
     ks_distance,
     ks_two_sample,
     occupation_measure,
+    w1_distance,
 )
 from .spectral import (
     SpectralDensity,

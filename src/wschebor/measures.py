@@ -3,13 +3,11 @@
 Occupation measures are kept as raw weighted point masses so that
 Kolmogorov-Smirnov statistics against a nondecreasing target CDF are exact
 at sample resolution; the target is evaluated in blocks, and point by point
-only where the sup can lie.  The bounded-Lipschitz metric is not exactly
-computable, so it is reported as a certified lower bound (a maximum over an
-explicit dictionary of test functions of unit BL norm) paired with a
-1-Wasserstein upper bound.  Both come from one sort of the pooled support
-with signed weights: the W1 bound and every test function of the
-dictionary, all hats and clipped ramps, are integrated exactly from the
-signed prefix sums, without evaluating them point by point.
+only where the sup can lie.  Two measures are compared by the exact
+1-Wasserstein distance, from one sort of their pooled support.  It bounds
+the bounded-Lipschitz distance from above (d_BL <= min(W1, 2), by
+Kantorovich-Rubinstein duality), so a shrinking W1 shows that d_BL
+shrinks, which a shrinking lower bound on d_BL could not.
 
 Measures are immutable after construction.
 """
@@ -186,81 +184,19 @@ def ks_critical_value(n_a, n_b=None, alpha=0.01):
     return float(c * np.sqrt((n_a + n_b) / (n_a * n_b)))
 
 
-def _signed_support(mu, nu):
-    """Pooled support of mu and nu, sorted once, with signed weights.
+def w1_distance(mu, nu):
+    """1-Wasserstein distance between two probability measures on the line.
 
-    Returns (x, s): the points in stable order and their weights, positive
-    for mu and negative for nu, so that cumsum(s) is the CDF difference.
-    """
-    x = np.concatenate([mu.points, nu.points])
-    s = np.concatenate([mu.weights, -nu.weights])
-    order = np.argsort(x, kind="stable")
-    return x[order], s[order]
-
-
-def _w1_sorted(x, c0):
-    """W1 from the sorted pooled support and the running CDF difference."""
-    return float(np.dot(np.abs(c0[:-1]), np.diff(x)))
-
-
-@dataclass(frozen=True)
-class BLBound:
-    """Certified enclosure of the bounded-Lipschitz distance."""
-
-    lower: float
-    upper: float
-    witness: str
-
-
-def _pooled_knots(x, s):
-    """Pooled quantiles of the sorted signed support and their midpoints."""
-    pooled = np.abs(s)
-    cum = np.cumsum(pooled / pooled.sum())
-    qs = np.linspace(0.0, 1.0, 10)[1:-1]  # eight interior quantiles
-    knots = np.unique(x[np.searchsorted(cum, qs * cum[-1], side="left").clip(0, x.size - 1)])
-    mids = 0.5 * (knots[1:] + knots[:-1]) if knots.size > 1 else np.array([])
-    return np.unique(np.concatenate([knots, mids]))
-
-
-def dbl_distance(mu, nu):
-    """Bounded-Lipschitz distance, reported as (lower bound, upper bound).
-
-    The lower bound maximizes |int f dmu - int f dnu| over a dictionary of
-    functions with BL norm <= 1 anchored at pooled quantiles: for every
-    knot c and width w, in this order, a hat s*(w - |x - c|)_+ with
-    s = 1/(1 + w) and a clipped ramp clip((x - c)/w, -1, 1)*w/(w + 1); the
-    first largest gap is the witness.  Both are piecewise linear, so their
-    integrals against mu - nu are exact from the signed prefix sums sum(s)
-    and sum(s*x) at their breakpoints.  The upper bound is min(W1, 2).
+    W1 = int |F_mu - F_nu| dx with no discretization: the pooled support
+    is sorted once, stably, with weights positive for mu and negative for
+    nu, so their running sum is F_mu - F_nu on each gap between
+    consecutive points.  W1 bounds the bounded-Lipschitz distance,
+    d_BL <= min(W1, 2).
     """
     for m in (mu, nu):
         if not m.is_probability():
-            raise ParameterError("bounded-Lipschitz distance needs probability measures")
-    x, s = _signed_support(mu, nu)
-    # Prefix sums with a leading zero: c0[i] = sum(s[:i]), c1[i] = sum(s[:i]*x[:i]).
-    c0, c1 = np.zeros(x.size + 1), np.zeros(x.size + 1)
-    np.cumsum(s, out=c0[1:])
-    upper = min(_w1_sorted(x, c0[1:]), 2.0)
-    if upper == 0.0:
-        # mu and nu agree on every interval, hence on every test function.
-        return BLBound(lower=0.0, upper=0.0, witness="zero")
-    np.cumsum(s * x, out=c1[1:])
-    knots = _pooled_knots(x, s)
-    widths = max(float(x[-1] - x[0]), 1e-12) * np.array([0.25, 0.5, 1.0, 2.0])
-    c, w = knots[:, None], widths[None, :]
-    g = w / (w + 1.0)
-    lo, hi = np.searchsorted(x, c - w), np.searchsorted(x, c + w)
-    mid = np.searchsorted(x, knots)[:, None]
-
-    def seg(i, j, alpha, beta):
-        """Exact integral of alpha + beta*x against s over x[i:j]."""
-        return alpha * (c0[j] - c0[i]) + beta * (c1[j] - c1[i])
-
-    hat = (seg(lo, mid, w - c, 1.0) + seg(mid, hi, w + c, -1.0)) / (1.0 + w)
-    ramp = g * (seg(lo, hi, -c / w, 1.0 / w) - c0[lo] + (c0[-1] - c0[hi]))
-    gaps = np.abs(np.stack([hat, ramp], axis=-1)).ravel()
-    best = int(np.argmax(gaps))
-    k, j, kind = np.unravel_index(best, (knots.size, widths.size, 2))
-    witness = (f"{('hat', 'ramp')[kind]}({knots[k]:.4g},{widths[j]:.4g})"
-               if gaps[best] > 0.0 else "zero")
-    return BLBound(lower=min(float(gaps[best]), upper), upper=upper, witness=witness)
+            raise ParameterError("the Wasserstein distance needs probability measures")
+    x = np.concatenate([mu.points, nu.points])
+    order = np.argsort(x, kind="stable")
+    cdf_diff = np.cumsum(np.concatenate([mu.weights, -nu.weights])[order])
+    return float(np.dot(np.abs(cdf_diff[:-1]), np.diff(x[order])))

@@ -197,12 +197,17 @@ def cheap_configs(draw):
     return body, unread is not None
 
 
-def fresh_python(*args):
-    """Run `python *args` in a fresh interpreter that imports this wschebor."""
+def fresh_env():
+    """The environment under which a fresh interpreter imports this wschebor."""
     src = os.path.dirname(os.path.dirname(wschebor.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def fresh_python(*args):
+    """Run `python *args` in a fresh interpreter that imports this wschebor."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=path))
+                          check=True, env=fresh_env())
 
 
 class TestSeedSplit:
@@ -333,6 +338,10 @@ MALFORMED = {
                                               "kernel_id:", 1),
     "discrete-lag-small-n": ({"experiment": "discrete-lag", "n_discrete": 255}, [],
                              "n_discrete:", 1),
+    "discrete-lag-21-replicas": ({"experiment": "discrete-lag", "replicas": 21}, [],
+                                 "replicas:", 1),
+    "discrete-lag-21-replicas-override": ({"experiment": "discrete-lag"},
+                                          ["--replicas", "21"], "replicas:", 1),
     "ou-match-horizon-below-lag": ({"experiment": "ou-match", "kernel_id": "ou-exp",
                                     "horizon": 0.5}, [], "horizon:", 1),
     "ou-match-horizon-at-lag": ({"experiment": "ou-match", "kernel_id": "ou-exp",
@@ -531,6 +540,16 @@ class TestListing:
         out = fresh_python("-m", "wschebor", "list")  # exit 0 or CalledProcessError
         assert out.stderr == ""
         assert out.stdout == list_experiments() + "\n"
+
+    def test_listing_into_a_closed_pipe_exits_1_without_a_traceback(self):
+        # As `wschebor list --json | head -1` does, the reader leaves before the write.
+        proc = subprocess.Popen([sys.executable, "-m", "wschebor", "list", "--json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=fresh_env())
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 1
+        proc.stderr.close()
 
     def test_import_leaves_out_scipy_signal_and_stats(self):
         # Each costs a large share of the import time and nothing uses them.
@@ -824,6 +843,20 @@ class TestRun:
     def test_discrete_lag_coupling_passes_below_2_14(self, tmp_path):
         # Below 2^14 the check used to demand that the distance grow with n.
         assert self._coupling_check(tmp_path, n_discrete=2 ** 13, replicas=3)["pass"]
+
+    def test_discrete_lag_coupling_fails_on_independent_paths(self, tmp_path, monkeypatch):
+        # A continuum measure from a path of its own, under the same meta seed,
+        # is W1-close only like sqrt(eps_n), slower than the r_n^(-1/2) bound.
+        # Unmutated, this config passes (test_discrete_lag_coupling_passes_below_2_14).
+        coupled = discrete.coupled_pair
+
+        def independent(n, r, seed, oversample=8):
+            m_n, _ = coupled(n, r, seed, oversample)
+            _, mu = coupled(n, r, seed_split(seed, 1), oversample)
+            mu.meta["seed"] = seed
+            return m_n, mu
+        monkeypatch.setattr(discrete, "coupled_pair", independent)
+        assert not self._coupling_check(tmp_path)["pass"]
 
     def test_discrete_lag_rejects_schedule_outside_coupling_regime(self, tmp_path):
         # At gamma = 1/2, eps_n sqrt(n) = floor(sqrt n) / sqrt n stays bounded.

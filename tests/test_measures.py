@@ -8,11 +8,11 @@ from wschebor.errors import CoverageError, ParameterError
 from wschebor.increments import normalized_increment
 from wschebor.measures import (
     EmpiricalMeasure,
-    dbl_distance,
     ks_critical_value,
     ks_distance,
     ks_two_sample,
     occupation_measure,
+    w1_distance,
 )
 from wschebor.mollifiers import kernel_psi1
 from wschebor.paths import (
@@ -257,55 +257,6 @@ class TestKolmogorovSmirnov:
             ks_distance(m, lambda x: 1.0 - PHI(x))
 
 
-class TestBoundedLipschitz:
-    def test_identical_measures(self):
-        m = EmpiricalMeasure.from_samples(np.random.default_rng(2).standard_normal(200))
-        b = dbl_distance(m, m)
-        assert b.lower == 0.0
-        assert b.upper == 0.0
-
-    @pytest.mark.parametrize("h", [0.01, 0.1, 0.5])
-    def test_separated_point_masses(self, h):
-        b = dbl_distance(_point_mass(0.0), _point_mass(h))
-        assert b.lower >= h / 2.0 - 1e-12
-        assert b.upper <= h + 1e-12
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        mu = EmpiricalMeasure.from_samples(rng.standard_normal(100))
-        nu = EmpiricalMeasure.from_samples(rng.standard_normal(100) + 0.3)
-        assert abs(dbl_distance(mu, nu).lower - dbl_distance(nu, mu).lower) < 1e-12
-
-def _reference_dbl(mu, nu, dictionary_size=8):
-    """Point-evaluation BL bound: each dictionary function integrated per measure."""
-    pooled = EmpiricalMeasure(np.concatenate([mu.points, nu.points]),
-                              np.concatenate([mu.weights, nu.weights]))
-    qs = np.linspace(0.0, 1.0, dictionary_size + 2)[1:-1]
-    cum = np.cumsum(pooled.weights / pooled.total_mass)
-    idx = np.searchsorted(cum, qs * cum[-1], side="left").clip(0, pooled.points.size - 1)
-    knots = np.unique(pooled.points[idx])
-    knots = np.unique(np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1])]))
-    widths = max(float(np.ptp(pooled.points)), 1e-12) * np.array([0.25, 0.5, 1.0, 2.0])
-    best, witness = 0.0, "zero"
-    for c in knots:
-        for w in widths:
-            for name, fn in (
-                    ("hat", lambda x: np.clip(w - np.abs(x - c), 0.0, None) / (1.0 + w)),
-                    ("ramp", lambda x: np.clip((x - c) / w, -1.0, 1.0) * w / (w + 1.0)),
-                    ("tanh", lambda x: np.tanh((x - c) / w) * w / (w + 1.0))):
-                gap = abs(np.dot(fn(mu.points), mu.weights)
-                          - np.dot(fn(nu.points), nu.weights))
-                if gap > best:
-                    best, witness = gap, f"{name}({c:.4g},{w:.4g})"
-    return best, witness
-
-
-def _reference_w1(mu, nu):
-    """W1 as the integral of |F_mu - F_nu| over the pooled CDF grid."""
-    grid = np.sort(np.concatenate([mu.points, nu.points]))
-    return float(np.sum(np.abs(mu.cdf(grid[:-1]) - nu.cdf(grid[:-1])) * np.diff(grid)))
-
-
 def _random_pair(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.integers(1, 300, size=2)
@@ -354,16 +305,42 @@ ORACLE_CASES = (
 )
 
 
+def _tie_free_cases():
+    """The oracle pairs whose points never repeat (the rounded samples tie)."""
+    return [p.values[0](p.values[1]) for p in ORACLE_CASES if not p.id.startswith("rounded")]
+
+
+class TestBoundedLipschitz:
+    """w1_distance, which bounds the bounded-Lipschitz distance: d_BL <= min(W1, 2)."""
+
+    def test_identical_measures(self):
+        # Where no point repeats, each tied mu and nu mass takes the running
+        # sum from 0 to w and back to exactly 0.
+        for pair in _tie_free_cases():
+            for m in pair:
+                assert w1_distance(m, m) == 0.0
+
+    @pytest.mark.parametrize("h", [0.01, 0.1, 0.5])
+    def test_separated_point_masses(self, h):
+        assert w1_distance(_point_mass(0.0), _point_mass(h)) == h
+
+    def test_symmetry(self):
+        # Bit for bit where no point repeats; ties change the pooled order.
+        for mu, nu in _tie_free_cases():
+            assert w1_distance(mu, nu) == w1_distance(nu, mu)
+
+    def test_rejects_a_measure_of_mass_other_than_1(self):
+        m = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.25]))
+        with pytest.raises(ParameterError):
+            w1_distance(m, _point_mass(0.0))
+
+
 class TestBoundedLipschitzOracle:
     @pytest.mark.parametrize("make, arg, rel", ORACLE_CASES)
     def test_matches_point_evaluation(self, make, arg, rel):
-        # The oracle's dictionary also holds tanh bumps, which dbl_distance
-        # leaves out: an equal bound and witness show that nothing is lost.
+        # scipy evaluates both CDFs at every pooled point and sums |F - G| dx.
         mu, nu = make(arg)
-        lower, witness = _reference_dbl(mu, nu)
-        w1 = _reference_w1(mu, nu)
-        for a, b in ((mu, nu), (nu, mu)):
-            bound = dbl_distance(a, b)
-            assert bound.witness == witness
-            assert abs(bound.lower - min(lower, w1, 2.0)) <= rel * lower
-            assert abs(bound.upper - min(w1, 2.0)) <= rel * w1
+        w1 = w1_distance(mu, nu)
+        reference = stats.wasserstein_distance(mu.points, nu.points, mu.weights, nu.weights)
+        assert abs(w1 - reference) <= rel * reference
+        assert abs(w1_distance(nu, mu) - w1) <= 1e-12 * w1
