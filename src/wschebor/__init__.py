@@ -13,7 +13,6 @@ from .errors import (
     ParameterError,
     QuadratureError,
     ResolutionError,
-    SeedMismatchError,
     SynthesisError,
     WscheborError,
 )
@@ -77,11 +76,9 @@ from .levelproc import (
 from .discrete import (
     LagSchedule,
     coupled_pair,
-    coupling_distance,
     discrete_measure,
     over_log_schedule,
     power_schedule,
 )
-from .cli import ExperimentConfig, list_experiments, run
 
 __version__ = "0.1.0"

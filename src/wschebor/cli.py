@@ -32,7 +32,7 @@ from .increments import MIN_EPS_OVER_DT, dpsi_window, normalized_increment
 # bessel_k0 is bound here only for the benchmark's tracer tests
 # (bench/tests/test_bench.py), which read it through this module.
 from .mollifiers import bessel_k0, kernel_by_id
-from .paths import (ProcessDescriptor, brownian_paths, seed_split, simulate,
+from .paths import (ProcessDescriptor, _rng, brownian_paths, seed_split, simulate,
                     simulate_brownian, standard_stable)
 
 
@@ -53,7 +53,7 @@ def run_replicas(fn, replicas, master_seed, threads=1):
 EXPERIMENTS = {}  # name -> (fn, description)
 SPECS = {}        # name -> ExperimentSpec
 # Every experiment may be given these; it must declare any other field it reads.
-COMMON_FIELDS = {"experiment", "replicas", "seed", "threads", "output_dir", "tolerances"}
+COMMON_FIELDS = {"experiment", "seed", "threads", "output_dir", "tolerances"}
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def _check_wschebor(config):
 
 @experiment("wschebor-check",
             "occupation measure of normalized increments against the Gaussian limit",
-            reads=("kernel_id", "epsilon", "grid_n"), tolerances=("ks_to_phi",),
+            reads=("kernel_id", "epsilon", "grid_n", "replicas"), tolerances=("ks_to_phi",),
             check=_check_wschebor)
 def run_wschebor_check(config):
     from scipy import special
@@ -327,7 +327,7 @@ def _check_ou_match(config):
 
 @experiment("ou-match",
             "covariance of the unit-scale process against the OU law, with kernel checks",
-            reads=("kernel_id", "horizon"), tolerances=("fourier_error",),
+            reads=("kernel_id", "horizon", "replicas"), tolerances=("fourier_error",),
             check=_check_ou_match, defaults={"kernel_id": "ou-exp"})
 def run_ou_match(config):
     kernel = kernel_by_id(config.kernel_id)
@@ -469,7 +469,7 @@ def _check_discrete_lag(config):
 
 @experiment("discrete-lag",
             "sliding-window increment measures with growing lags",
-            reads=("lag_kind", "n_discrete"), tolerances=("ks_to_phi",),
+            reads=("lag_kind", "n_discrete", "replicas"), tolerances=("ks_to_phi",),
             check=_check_discrete_lag)
 def run_discrete_lag(config):
     from scipy import special
@@ -489,11 +489,9 @@ def run_discrete_lag(config):
     sizes = (n // 16, n)
     meds = []
     for nn in sizes:
-        vals = []
-        for i in range(config.replicas):
-            m_a, mu_a = dsc.coupled_pair(nn, int(schedule.r(nn)),
-                                         seed_split(config.seed, 100 + i))
-            vals.append(dsc.coupling_distance(m_a, mu_a))
+        vals = [measures.w1_distance(*dsc.coupled_pair(nn, int(schedule.r(nn)),
+                                                       seed_split(config.seed, 100 + i)))
+                for i in range(config.replicas)]
         meds.append(float(np.median(vals)))
     # The coupling bounds the distance by 2 omega(1/n) / sqrt(eps_n), which
     # falls like r_n^(-1/2) up to a logarithm: the median must fall that fast.
@@ -508,7 +506,7 @@ def run_discrete_lag(config):
 
 @experiment("stable-marginal",
             "marginal of the stable increment process against the scaled stable law",
-            reads=("kernel_id", "family", "hurst", "alpha", "epsilon"),
+            reads=("kernel_id", "family", "hurst", "alpha", "epsilon", "replicas"),
             check=_derivative_kernel)
 def run_stable_marginal(config):
     kernel = kernel_by_id(config.kernel_id)
@@ -527,7 +525,7 @@ def run_stable_marginal(config):
         return float(inc.values[0])
 
     samples = np.array(run_replicas(one, config.replicas, config.seed, config.threads))
-    rng = np.random.Generator(np.random.PCG64(seed_split(config.seed, 10 ** 6)))
+    rng = _rng(seed_split(config.seed, 10 ** 6))
     if config.family == "stable":
         reference = standard_stable(alpha, rng, config.replicas) * kernel.norm(alpha)
     else:

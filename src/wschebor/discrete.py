@@ -8,19 +8,20 @@ whose behaviour as r_n grows with n but eps_n = r_n/n shrinks interpolates
 between classical i.i.d. empirical measures and the continuum
 small-increment regime.  This module builds the measures and the two lag
 schedules, whose growth conditions are decided in closed form, and couples
-the Gaussian-innovation case to the continuum occupation measure built
-from the same Brownian path.
+the Gaussian-innovation case to the continuum occupation measure: one call
+of `coupled_pair` builds both measures from one Brownian path, so the
+pairing holds by construction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SeedMismatchError
+from .errors import ParameterError
 from .increments import normalized_increment
-from .measures import EmpiricalMeasure, occupation_measure, w1_distance
+from .measures import EmpiricalMeasure, occupation_measure
 from .mollifiers import kernel_psi1
-from .paths import simulate_brownian
+from .paths import _rng, simulate_brownian
 
 @dataclass(frozen=True)
 class LagSchedule:
@@ -81,14 +82,12 @@ def discrete_measure(xs, r):
 
 
 def gaussian_innovations(n_total, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.standard_normal(n_total)
+    return _rng(seed).standard_normal(n_total)
 
 
 def uniform_innovations(n_total, seed):
     """Centered uniform innovations scaled to unit variance."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return (rng.random(n_total) - 0.5) * np.sqrt(12.0)
+    return (_rng(seed).random(n_total) - 0.5) * np.sqrt(12.0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,9 @@ def coupled_pair(n, r, seed, oversample=8):
 
     The path is sampled `oversample` times finer than the 1/n window grid;
     the discrete windows use the coarse nodes, the occupation measure all
-    of them, so both objects share provenance exactly.
+    of them.  Their W1 distance bounds the bounded-Lipschitz distance from
+    above, so values that shrink as n grows show that the discrete measure
+    tracks the continuum occupation measure of the same path.
     """
     if n % 1 or r < 1:
         raise ParameterError("n and r must be positive integers")
@@ -111,23 +112,8 @@ def coupled_pair(n, r, seed, oversample=8):
     path = simulate_brownian(n_nodes, total, seed)
     coarse = path.values[::oversample]
     v = (coarse[r:n + r] - coarse[:n]) / np.sqrt(eps)
-    m_n = EmpiricalMeasure.from_samples(v, {"seed": seed})
+    m_n = EmpiricalMeasure.from_samples(v)
     cont = normalized_increment(path, kernel_psi1(), eps, window=(0.0, 1.0))
     mu = occupation_measure(cont)
     return m_n, mu
 
-
-def coupling_distance(gaussian_m_n, continuum_mu):
-    """W1 distance between the coupled discrete and continuum measures.
-
-    Both inputs must carry the same provenance seed.  W1 bounds the
-    bounded-Lipschitz distance from above, so values that shrink as n grows
-    show that the discrete measure tracks the continuum occupation measure
-    of the same path.
-    """
-    seed_a = gaussian_m_n.meta.get("seed")
-    seed_b = continuum_mu.meta.get("seed")
-    if seed_a is None or seed_b is None or seed_a != seed_b:
-        raise SeedMismatchError(
-            f"measures come from different paths (seeds {seed_a!r} vs {seed_b!r})")
-    return w1_distance(gaussian_m_n, continuum_mu)

@@ -25,10 +25,6 @@ class SynthesisError(WscheborError):
     """All synthesis routes for a Gaussian path failed."""
 
 
-class SeedMismatchError(WscheborError):
-    """Two measures that must share provenance were built from different paths."""
-
-
 class ConfigError(WscheborError, ValueError):
     """An experiment configuration is invalid.
 

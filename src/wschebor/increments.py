@@ -152,21 +152,16 @@ def dot_increment(source, kernel, epsilon, window=(0.0, 1.0)):
             f"kernel {kernel.kernel_id!r} carries no derivative measure")
     i0, i1 = _output_slice(source, window, dpsi_window(kernel, epsilon, window))
     out = _apply_stencil(_dpsi_stencil(kernel, epsilon, source.dt), source.values, i0, i1)
-    return GridPath(source.t_start + i0 * source.dt, source.dt, out, source.meta)
-
-
-def _hurst_index(source):
-    desc = source.meta.get("descriptor")
-    if desc is None:
-        raise ParameterError("source path carries no process descriptor")
-    return desc.self_similarity_index
+    return GridPath(source.t_start + i0 * source.dt, source.dt, out)
 
 
 def normalized_increment(source, kernel, epsilon, window=(0.0, 1.0)):
     """The scale-normalized increment process eps^(1-H) * dotX."""
-    h = _hurst_index(source)
+    if source.process is None:
+        raise ParameterError("source path carries no process descriptor")
+    h = source.process.self_similarity_index
     dot = dot_increment(source, kernel, epsilon, window)
-    return GridPath(dot.t_start, dot.dt, epsilon ** (1.0 - h) * dot.values, dot.meta)
+    return GridPath(dot.t_start, dot.dt, epsilon ** (1.0 - h) * dot.values)
 
 
 def unit_scale_process(source, kernel, window=(0.0, 1.0)):

@@ -16,11 +16,10 @@ from .spectral import HEAD_CUTOFF
 
 @dataclass(frozen=True)
 class RateCurve:
-    """Rate function sampled at `xs`, with the sample point where it is least."""
+    """Rate function sampled at `xs`."""
 
     xs: np.ndarray
     values: np.ndarray
-    minimizer: float
 
     def __post_init__(self):
         object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
@@ -75,5 +74,4 @@ def moment_rate(density, xs):
                 break
             y_lo *= 8.0
         values.append(max(0.0, float(-res.fun)))
-    minimizer = float(xs[int(np.argmin(values))]) if xs.size else np.nan
-    return RateCurve(xs, np.asarray(values), minimizer)
+    return RateCurve(xs, np.asarray(values))

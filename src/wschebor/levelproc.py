@@ -46,8 +46,7 @@ def extract_cloud(source, epsilon, t_count, s_count, t_values=None):
     source resolution (and an interpolated value has less than the process's
     variance).  Custom base times can be supplied in place of the uniform grid.
     """
-    desc = source.meta.get("descriptor")
-    if desc is None or desc.family != "brownian":
+    if source.process is None or source.process.family != "brownian":
         raise ParameterError("cloud extraction expects a Brownian source path")
     if t_count < 1 or s_count < 2:
         raise ParameterError("need t_count >= 1 and s_count >= 2")

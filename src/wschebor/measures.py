@@ -12,7 +12,7 @@ shrinks, which a shrinking lower bound on d_BL could not.
 Measures are immutable after construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +35,6 @@ class EmpiricalMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -63,10 +62,10 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", wts)
 
     @classmethod
-    def from_samples(cls, samples, meta=None):
+    def from_samples(cls, samples):
         samples = np.asarray(samples, dtype=float)
         n = samples.size
-        return cls(samples, np.full(n, 1.0 / n), meta or {})
+        return cls(samples, np.full(n, 1.0 / n))
 
     @property
     def total_mass(self):
@@ -102,13 +101,7 @@ def occupation_measure(path):
     weights = np.full(len(sub), sub.dt)
     weights[[0, -1]] *= 0.5
     weights /= weights.sum()
-    meta = {"seed": _path_seed(path)}
-    return EmpiricalMeasure(sub.values, weights, meta)
-
-
-def _path_seed(path):
-    desc = path.meta.get("descriptor")
-    return getattr(desc, "seed", None)
+    return EmpiricalMeasure(sub.values, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ generated in parallel without coordination.
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class ProcessDescriptor:
     family: str
     hurst: float | None = None
     alpha: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.family not in (BROWNIAN, STABLE, FBM):
@@ -50,12 +49,16 @@ class ProcessDescriptor:
 
 @dataclass(frozen=True)
 class GridPath:
-    """A trajectory sampled at the nodes t_start + k*dt, closed at both ends."""
+    """A trajectory sampled at the nodes t_start + k*dt, closed at both ends.
+
+    `process` names the family a sampler drew the path from; derived paths
+    such as increments carry None.
+    """
 
     t_start: float
     dt: float
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
+    process: ProcessDescriptor | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -145,7 +148,7 @@ def brownian_paths(grids, seed):
     draws = np.empty(grids[longest][0])
     draws[0] = 0.0
     _rng(seed).standard_normal(out=draws[1:])
-    meta = {"descriptor": ProcessDescriptor(BROWNIAN, seed=seed)}
+    process = ProcessDescriptor(BROWNIAN)
     paths = [None] * len(grids)
     # The longest path is scaled in place, so it goes last.
     for k in sorted(range(len(grids)), key=lambda k: k == longest):
@@ -154,7 +157,7 @@ def brownian_paths(grids, seed):
         values = draws if k == longest else draws[:n].copy()
         values[1:] *= np.sqrt(dt)
         np.cumsum(values[1:], out=values[1:])
-        paths[k] = GridPath(t_start, dt, values, dict(meta))
+        paths[k] = GridPath(t_start, dt, values, process)
     return paths
 
 
@@ -182,8 +185,7 @@ def simulate_stable(alpha, n, horizon, seed, t_start=0.0):
     rng = _rng(seed)
     incs = standard_stable(alpha, rng, n - 1) * dt ** (1.0 / alpha)
     values = np.concatenate(([0.0], np.cumsum(incs)))
-    meta = {"descriptor": ProcessDescriptor(STABLE, alpha=alpha, seed=seed)}
-    return GridPath(t_start, dt, values, meta)
+    return GridPath(t_start, dt, values, ProcessDescriptor(STABLE, alpha=alpha))
 
 
 def fbm_covariance(s, t, hurst):
@@ -269,8 +271,7 @@ def simulate_fbm(hurst, n, horizon, seed, t_start=0.0):
     rng = _rng(seed)
     fgn = fgn_batch(n - 1, hurst, rng, replicas=1)[0]
     values = np.concatenate(([0.0], np.cumsum(fgn))) * dt ** hurst
-    meta = {"descriptor": ProcessDescriptor(FBM, hurst=hurst, seed=seed)}
-    return GridPath(t_start, dt, values, meta)
+    return GridPath(t_start, dt, values, ProcessDescriptor(FBM, hurst=hurst))
 
 
 def simulate(descriptor, n, horizon, seed, t_start=0.0):

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ParameterError, QuadratureError
 from .increments import correlate_valid, unit_scale_process
 from .mollifiers import hurst_normalizer_sq
-from .paths import BROWNIAN, GridPath, ProcessDescriptor, seed_split, simulate_brownian
+from .paths import (BROWNIAN, GridPath, ProcessDescriptor, _rng, seed_split,
+                    simulate_brownian)
 
 HEAD_CUTOFF = 64.0
 
@@ -234,10 +235,9 @@ def _filter_weights(kernel, dt):
 
 def _filter_brownian_increments(half, weights, horizon, dt, seed):
     n_cells = int(round((horizon + 2 * half) / dt))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    dw = rng.standard_normal(n_cells) * np.sqrt(dt)
+    dw = _rng(seed).standard_normal(n_cells) * np.sqrt(dt)
     vals = correlate_valid(dw, weights)
-    return GridPath(0.0, dt, vals, {"descriptor": ProcessDescriptor(BROWNIAN, seed=seed)})
+    return GridPath(0.0, dt, vals, ProcessDescriptor(BROWNIAN))
 
 
 def _unit_scale_sampler(kernel, horizon):

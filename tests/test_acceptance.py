@@ -16,7 +16,6 @@ from scipy import integrate, stats
 from wschebor.cli import ExperimentConfig, run, seed_split
 from wschebor.discrete import (
     coupled_pair,
-    coupling_distance,
     discrete_measure,
     gaussian_innovations,
     over_log_schedule,
@@ -39,6 +38,7 @@ from wschebor.measures import (
     ks_distance,
     ks_two_sample,
     occupation_measure,
+    w1_distance,
 )
 from wschebor.mollifiers import (
     bessel_k0,
@@ -287,8 +287,8 @@ def test_12_discrete_lag():
     for nn in sizes:
         vals = []
         for i in range(20):
-            m_n, mu = coupled_pair(nn, int(nn ** 0.6), seed_split(31, i), oversample=4)
-            vals.append(coupling_distance(m_n, mu))
+            vals.append(w1_distance(*coupled_pair(nn, int(nn ** 0.6), seed_split(31, i),
+                                                  oversample=4)))
         meds.append(float(np.median(vals)))
     coupling_ok = meds[1] <= meds[0] * np.sqrt(int(sizes[0] ** 0.6) / int(sizes[1] ** 0.6))
     report(12, "discrete lag",

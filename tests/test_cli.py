@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -149,7 +150,8 @@ def fields_read(fn, config):
 # A valid value other than the default for each experiment-specific field.
 VALID_VALUES = {"kernel_id": "triangle", "family": "fbm", "hurst": 0.3, "alpha": 1.5,
                 "epsilon": 0.125, "lag_kind": "overlog", "grid_n": 2 ** 12,
-                "horizon": 10.0, "t_count": 2 ** 10, "s_count": 9, "n_discrete": 2 ** 10}
+                "horizon": 10.0, "t_count": 2 ** 10, "s_count": 9, "n_discrete": 2 ** 10,
+                "replicas": 3}
 
 
 def unread_field_cases():
@@ -177,6 +179,7 @@ CHEAP_VALUES = {
     "t_count": st.integers(1, 2 ** 9),
     "s_count": st.integers(1, 9),
     "n_discrete": st.sampled_from([2 ** 8, 2 ** 9, 1000]),
+    "replicas": st.integers(2, 4),
 }
 
 
@@ -185,10 +188,10 @@ def cheap_configs(draw):
     """(config, whether it sets a field its experiment does not read)."""
     name = draw(st.sampled_from(sorted(SPECS)))
     body = {"experiment": name, "seed": draw(st.integers(0, 2 ** 32)),
-            "replicas": draw(st.integers(2, 4)), "threads": draw(st.sampled_from([1, 2]))}
+            "threads": draw(st.sampled_from([1, 2]))}
     for field in sorted(SPECS[name].reads):
         # The sizes are always drawn, since their defaults are the full-size runs.
-        if field in ("epsilon", "grid_n", "horizon", "t_count", "n_discrete") \
+        if field in ("epsilon", "grid_n", "horizon", "t_count", "n_discrete", "replicas") \
                 or draw(st.booleans()):
             body[field] = draw(CHEAP_VALUES[field])
     unread = draw(st.none() | st.sampled_from(sorted(set(CHEAP_VALUES) - SPECS[name].reads)))
@@ -253,7 +256,7 @@ class TestConfig:
         for name, field, value in (("moment-rate", "hurst", 1.5),
                                    ("stable-marginal", "alpha", 0.0),
                                    ("stable-marginal", "epsilon", -1.0),
-                                   ("moment-rate", "replicas", 0),
+                                   ("stable-marginal", "replicas", 0),
                                    ("moment-rate", "threads", 0)):
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig.from_dict({"experiment": name, field: value})
@@ -271,12 +274,23 @@ class TestConfig:
             if SPECS[name].check is not None:
                 assert fields_read(SPECS[name].check, cfg) <= SPECS[name].reads
         assert read == {name: spec.reads for name, spec in SPECS.items()}
-        assert sum(len(spec.reads) for spec in SPECS.values()) == 19
+        assert sum(len(spec.reads) for spec in SPECS.values()) == 23
 
     def test_unread_table_values_are_valid_where_read(self):
         for field, value in VALID_VALUES.items():
             name = next(n for n, spec in sorted(SPECS.items()) if field in spec.reads)
             assert getattr(small_config(name, **{field: value}), field) == value
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_benchmark_workload_configs_are_accepted(self, seed):
+        # Every config bench/workloads.py gives the benchmark, with the seed it applies.
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for body in workloads.configs(name, seed):
+                assert ExperimentConfig.from_dict(body).seed == seed
 
     @pytest.mark.parametrize("name, overrides, field", unread_field_cases())
     def test_unread_field_exits_1(self, tmp_path, name, overrides, field):
@@ -342,6 +356,8 @@ MALFORMED = {
                                  "replicas:", 1),
     "discrete-lag-21-replicas-override": ({"experiment": "discrete-lag"},
                                           ["--replicas", "21"], "replicas:", 1),
+    "level-process-replicas-override": ({"experiment": "level-process"},
+                                        ["--replicas", "3"], "replicas:", 1),
     "ou-match-horizon-below-lag": ({"experiment": "ou-match", "kernel_id": "ou-exp",
                                     "horizon": 0.5}, [], "horizon:", 1),
     "ou-match-horizon-at-lag": ({"experiment": "ou-match", "kernel_id": "ou-exp",
@@ -541,6 +557,13 @@ class TestListing:
         assert out.stderr == ""
         assert out.stdout == list_experiments() + "\n"
 
+    def test_python_m_wschebor_cli_runs_without_a_warning(self):
+        # The package root does not import wschebor.cli, so running it as
+        # __main__ does not find it already imported.
+        out = fresh_python("-W", "error", "-m", "wschebor.cli", "list")
+        assert out.stderr == ""
+        assert out.stdout == list_experiments() + "\n"
+
     def test_listing_into_a_closed_pipe_exits_1_without_a_traceback(self):
         # As `wschebor list --json | head -1` does, the reader leaves before the write.
         proc = subprocess.Popen([sys.executable, "-m", "wschebor", "list", "--json"],
@@ -589,7 +612,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             assert entry == {"description": EXPERIMENTS[name][1],
                              "fields": sorted(SPECS[name].reads),
                              "tolerances": sorted(SPECS[name].tolerances)}
-        assert payload["ou-match"]["fields"] == ["horizon", "kernel_id"]
+        assert payload["ou-match"]["fields"] == ["horizon", "kernel_id", "replicas"]
         assert payload["stable-marginal"]["tolerances"] == []
 
     def test_cli_entrypoints(self, capsys):
@@ -845,15 +868,14 @@ class TestRun:
         assert self._coupling_check(tmp_path, n_discrete=2 ** 13, replicas=3)["pass"]
 
     def test_discrete_lag_coupling_fails_on_independent_paths(self, tmp_path, monkeypatch):
-        # A continuum measure from a path of its own, under the same meta seed,
-        # is W1-close only like sqrt(eps_n), slower than the r_n^(-1/2) bound.
+        # A continuum measure from a path of its own is W1-close only like
+        # sqrt(eps_n), slower than the r_n^(-1/2) bound.
         # Unmutated, this config passes (test_discrete_lag_coupling_passes_below_2_14).
         coupled = discrete.coupled_pair
 
         def independent(n, r, seed, oversample=8):
             m_n, _ = coupled(n, r, seed, oversample)
             _, mu = coupled(n, r, seed_split(seed, 1), oversample)
-            mu.meta["seed"] = seed
             return m_n, mu
         monkeypatch.setattr(discrete, "coupled_pair", independent)
         assert not self._coupling_check(tmp_path)["pass"]

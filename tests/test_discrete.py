@@ -4,15 +4,16 @@ from scipy import stats
 
 from wschebor.discrete import (
     coupled_pair,
-    coupling_distance,
     discrete_measure,
     gaussian_innovations,
     over_log_schedule,
     power_schedule,
     uniform_innovations,
 )
-from wschebor.errors import ParameterError, SeedMismatchError
-from wschebor.measures import EmpiricalMeasure, ks_distance
+from wschebor.errors import ParameterError
+from wschebor.increments import normalized_increment
+from wschebor.measures import EmpiricalMeasure, ks_distance, occupation_measure, w1_distance
+from wschebor.mollifiers import kernel_psi1
 from wschebor.paths import simulate_brownian
 
 PHI = stats.norm.cdf
@@ -132,14 +133,21 @@ class TestCoupling:
     def test_identical_measures(self):
         xs = gaussian_innovations(1000, 0)
         m = discrete_measure(xs, 10)
-        m.meta["seed"] = 0
-        assert coupling_distance(m, m) == 0.0
+        assert w1_distance(m, m) == 0.0
 
     def test_seed_mismatch(self):
-        m_a, _ = coupled_pair(2 ** 10, 32, seed=1)
-        _, mu_b = coupled_pair(2 ** 10, 32, seed=2)
-        with pytest.raises(SeedMismatchError):
-            coupling_distance(m_a, mu_b)
+        # Both measures of one call come from the seed's path, 8 nodes per 1/n;
+        # a measure of another seed's path lies farther from the windows.
+        n, r, seed = 2 ** 10, 32, 1
+        eps = r / n
+        m_n, mu = coupled_pair(n, r, seed)
+        path = simulate_brownian(8 * (n + r) + 1, 1.0 + eps, seed)
+        coarse = path.values[::8]
+        assert np.array_equal(m_n.points, np.sort((coarse[r:n + r] - coarse[:n]) / np.sqrt(eps)))
+        cont = normalized_increment(path, kernel_psi1(), eps)
+        assert np.array_equal(mu.points, occupation_measure(cont).points)
+        _, mu_b = coupled_pair(n, r, seed + 1)
+        assert w1_distance(m_n, mu) < w1_distance(m_n, mu_b)
 
     def test_distance_decreases_with_n(self):
         # At the rate r^(-1/2) of the modulus bound below, without its logarithm.
@@ -149,7 +157,7 @@ class TestCoupling:
             vals = []
             for seed in range(8):
                 m_n, mu = coupled_pair(n, r, seed)
-                vals.append(coupling_distance(m_n, mu))
+                vals.append(w1_distance(m_n, mu))
             meds.append(np.median(vals))
         assert meds[1] <= meds[0] * np.sqrt(lags[0] / lags[1])
 
@@ -159,7 +167,7 @@ class TestCoupling:
         n, seed = 2 ** 12, 4
         r = int(n ** 0.6)
         m_n, mu = coupled_pair(n, r, seed, oversample=8)
-        d = coupling_distance(m_n, mu)
+        d = w1_distance(m_n, mu)
         eps = r / n
         dt = 1.0 / (n * 8)
         path = simulate_brownian(int(round((1 + eps) / dt)) + 1, 1.0 + eps, seed)

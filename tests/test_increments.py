@@ -29,13 +29,11 @@ from wschebor.paths import GridPath, ProcessDescriptor, simulate_brownian, simul
 
 def _linear_path(lo, hi, n, slope=1.0):
     ts = np.linspace(lo, hi, n)
-    return GridPath(lo, ts[1] - ts[0], slope * ts,
-                    {"descriptor": ProcessDescriptor("brownian")})
+    return GridPath(lo, ts[1] - ts[0], slope * ts, ProcessDescriptor("brownian"))
 
 
 def _const_path(lo, hi, n, c):
-    return GridPath(lo, (hi - lo) / (n - 1), np.full(n, c),
-                    {"descriptor": ProcessDescriptor("brownian")})
+    return GridPath(lo, (hi - lo) / (n - 1), np.full(n, c), ProcessDescriptor("brownian"))
 
 
 class TestDotIncrement:
@@ -94,7 +92,7 @@ class TestDotIncrement:
         dt = 2.0 ** -10
         eps = 4.5 * dt
         ts = np.arange(int(1.5 / dt) + 1) * dt
-        desc = {"descriptor": ProcessDescriptor("brownian")}
+        desc = ProcessDescriptor("brownian")
         out = dot_increment(GridPath(0.0, dt, ts, desc), kernel_psi1(), eps)
         assert np.max(np.abs(out.values - 1.0)) < 1e-11
         out = dot_increment(GridPath(0.0, dt, ts ** 2, desc), kernel_psi1(), eps)
@@ -181,7 +179,7 @@ class TestNormalizedIncrement:
         assert abs(vals.var() - target) < 5.0 * target * np.sqrt(2.0 / len(vals))
 
     def test_requires_descriptor(self):
-        p = GridPath(0.0, 0.01, np.zeros(256), {})
+        p = GridPath(0.0, 0.01, np.zeros(256), process=None)
         with pytest.raises(ParameterError):
             normalized_increment(p, kernel_psi1(), 0.1, window=(0.0, 0.5))
 

@@ -68,7 +68,7 @@ def test_brownian_grids_match_separate_draws():
         alone = simulate_brownian(n, horizon, 42, t_start)
         assert np.array_equal(p.values.view(np.int64), alone.values.view(np.int64))
         assert (p.t_start, p.dt) == (alone.t_start, alone.dt)
-        assert p.meta["descriptor"] == alone.meta["descriptor"]
+        assert p.process == alone.process
 
 
 def test_brownian_rejects_bad_grid():

@@ -3,14 +3,17 @@
 Runs a small config set through `cli.run` under a profiler and checks that
 each module-level function and method of the package was called, apart
 from an explicit allowlist.  Code that no experiment reaches should be
-wired into one or deleted, not left to drift.
+wired into one or deleted, not left to drift.  A static check asks the same
+of dataclass fields: each is read somewhere in the package.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +98,33 @@ def test_every_library_function_is_reached(tmp_path):
     stale = sorted(ALLOWED_UNREACHED.keys() - unreached)
     assert not extra, f"reached by no experiment: {extra}"
     assert not stale, f"allowlisted, but reached or gone: {stale}"
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) of every annotated field of a @dataclass class."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    """Every dataclass field of the package is loaded as an attribute somewhere in it.
+
+    A static check over the package's source: it matches attribute names,
+    not their owners, so a field passes when any object's attribute of the
+    same name is read anywhere in the package.  A field that nothing reads
+    is state that no experiment uses.
+    """
+    trees = [ast.parse(path.read_text()) for path in
+             sorted(Path(wschebor.__file__).parent.glob("*.py"))]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [f for tree in trees for f in _dataclass_fields(tree)]
+    assert fields
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in loaded)
+    assert not unread, f"dataclass fields read nowhere in the package: {unread}"
