@@ -20,6 +20,7 @@ from .paths import (
     GridPath,
     ProcessDescriptor,
     fbm_covariance,
+    replica_seeds,
     seed_split,
     simulate,
     simulate_brownian,

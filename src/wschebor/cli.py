@@ -32,13 +32,13 @@ from .increments import MIN_EPS_OVER_DT, dpsi_window, normalized_increment
 # bessel_k0 is bound here only for the benchmark's tracer tests
 # (bench/tests/test_bench.py), which read it through this module.
 from .mollifiers import bessel_k0, kernel_by_id
-from .paths import (ProcessDescriptor, _rng, brownian_paths, seed_split, simulate,
-                    simulate_brownian, standard_stable)
+from .paths import (ProcessDescriptor, _rng, brownian_paths, replica_seeds, seed_split,
+                    simulate, simulate_brownian, standard_stable)
 
 
 def run_replicas(fn, replicas, master_seed, threads=1):
     """Map fn(replica_index, seed) over replicas; results in index order."""
-    seeds = [seed_split(master_seed, i) for i in range(replicas)]
+    seeds = replica_seeds(master_seed, replicas)
     if threads <= 1:
         return [fn(i, s) for i, s in enumerate(seeds)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -516,15 +516,12 @@ def run_stable_marginal(config):
                              hurst=config.hurst if config.family == "fbm" else None,
                              alpha=alpha if config.family == "stable" else None)
 
-    def one(i, seed):
-        lo, hi = dpsi_window(kernel, eps, (0.0, eps))
-        dt = eps / 8.0
-        n = int(round((hi - lo) / dt)) + 1
-        src = simulate(desc, n, hi - lo, seed, t_start=lo)
-        inc = normalized_increment(src, kernel, eps, window=(0.0, eps))
-        return float(inc.values[0])
+    # One increment value per replica, all replicas drawn as one batch of paths.
+    lo, hi = dpsi_window(kernel, eps, (0.0, eps))
+    n = int(round((hi - lo) / (eps / 8.0))) + 1
+    src = simulate(desc, n, hi - lo, replica_seeds(config.seed, config.replicas), t_start=lo)
+    samples = normalized_increment(src, kernel, eps, window=(0.0, eps)).values[:, 0]
 
-    samples = np.array(run_replicas(one, config.replicas, config.seed, config.threads))
     rng = _rng(seed_split(config.seed, 10 ** 6))
     if config.family == "stable":
         reference = standard_stable(alpha, rng, config.replicas) * kernel.norm(alpha)

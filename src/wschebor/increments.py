@@ -10,8 +10,10 @@ density part is handled by trapezoidal quadrature.  Everything is
 assembled into a single discrete stencil over grid offsets, so the whole
 transform is one (possibly FFT-based) convolution per path.
 
-All operations are pure transformations of immutable inputs and can be
-applied to independent replicas fully in parallel.
+The stencil acts on the last (time) axis, so a batch of replicas, a path
+with values of shape (replicas, n), is transformed in one call, and each
+row of the result equals the transform of that row alone.  All operations
+are pure transformations of immutable inputs.
 """
 
 import functools
@@ -118,25 +120,29 @@ def _dpsi_stencil(kernel, epsilon, dt):
 
 
 def correlate_valid(x, w):
-    """sum_k w[k] x[i + k] for every i where w fits inside x, by real FFTs."""
+    """sum_k w[k] x[..., i + k] for every i where w fits inside x, by real FFTs.
+
+    The correlation runs along the last axis of x.
+    """
     from scipy.fft import irfft, next_fast_len, rfft
-    n = next_fast_len(x.size + w.size - 1, True)
-    return irfft(rfft(x, n) * rfft(w[::-1], n), n)[w.size - 1:x.size]
+    n_x = x.shape[-1]
+    n = next_fast_len(n_x + w.size - 1, True)
+    return irfft(rfft(x, n) * rfft(w[::-1], n), n)[..., w.size - 1:n_x]
 
 
 def _apply_stencil(stencil, values, i0, i1):
-    """Evaluate sum_k w_k X[i + k] for i in [i0, i1]."""
+    """Evaluate sum_k w_k X[..., i + k] for i in [i0, i1]."""
     o_min, weights, touched = stencil
     o_max = o_min + weights.size - 1
-    if i0 + o_min < 0 or i1 + o_max > values.size - 1:
+    if i0 + o_min < 0 or i1 + o_max > values.shape[-1] - 1:
         raise CoverageError("stencil reaches outside the source grid")
     n_out = i1 - i0 + 1
     if touched.size <= 8:
-        out = np.zeros(n_out)
+        out = np.zeros(values.shape[:-1] + (n_out,))
         for o in touched:
-            out += weights[o - o_min] * values[i0 + o:i0 + o + n_out]
+            out += weights[o - o_min] * values[..., i0 + o:i0 + o + n_out]
         return out
-    seg = values[i0 + o_min:i1 + o_max + 1]
+    seg = values[..., i0 + o_min:i1 + o_max + 1]
     return correlate_valid(seg, weights)
 
 

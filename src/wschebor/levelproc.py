@@ -48,6 +48,8 @@ def extract_cloud(source, epsilon, t_count, s_count, t_values=None):
     """
     if source.process is None or source.process.family != "brownian":
         raise ParameterError("cloud extraction expects a Brownian source path")
+    if source.values.ndim != 1:
+        raise ParameterError("cloud extraction takes one path, not a batch of replicas")
     if t_count < 1 or s_count < 2:
         raise ParameterError("need t_count >= 1 and s_count >= 2")
     s_grid = np.linspace(0.0, 1.0, s_count)

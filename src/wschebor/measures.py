@@ -94,6 +94,8 @@ def occupation_measure(path):
     Point masses sit at the sampled values with trapezoid-corrected
     weights, then are normalized exactly.
     """
+    if path.values.ndim != 1:
+        raise ParameterError("occupation_measure takes one path, not a batch of replicas")
     tol = 1e-9 * path.dt
     if path.t_start > tol or path.t_end < 1.0 - tol:
         raise CoverageError("path does not cover the window [0, 1]")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError, QuadratureError
 from .increments import correlate_valid, unit_scale_process
 from .mollifiers import hurst_normalizer_sq
-from .paths import (BROWNIAN, GridPath, ProcessDescriptor, _rng, seed_split,
+from .paths import (BROWNIAN, GridPath, ProcessDescriptor, _rng, replica_seeds,
                     simulate_brownian)
 
 HEAD_CUTOFF = 64.0
@@ -272,8 +272,8 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, seed=0):
         raise ParameterError("OU matching is defined for the ou-exp and ou-bessel kernels")
     draw = _unit_scale_sampler(kernel, horizon)
     estimates = np.empty((replicas, len(lags)))
-    for r in range(replicas):
-        y = draw(seed_split(seed, r))
+    for r, replica_seed in enumerate(replica_seeds(seed, replicas)):
+        y = draw(replica_seed)
         v = y.values
         for j, lag in enumerate(lags):
             k = int(round(lag / y.dt))

@@ -35,10 +35,11 @@ from wschebor.cli import (
     seed_split,
 )
 from wschebor.errors import ConfigError
-from wschebor.increments import normalized_increment
+from wschebor.increments import dpsi_window, normalized_increment
 from wschebor.measures import ks_critical_value
 from wschebor.mollifiers import kernel_by_id
-from wschebor.paths import brownian_paths, simulate_brownian
+from wschebor.paths import (ProcessDescriptor, brownian_paths, replica_seeds, simulate,
+                            simulate_brownian)
 
 FAST_CONFIGS = {
     "wschebor-check": {"grid_n": 2 ** 13, "replicas": 2, "epsilon": 2.0 ** -7},
@@ -227,6 +228,10 @@ class TestSeedSplit:
             for idx in range(10_000):
                 seen.add(seed_split(master, idx))
         assert len(seen) == 10 ** 6
+
+    def test_replica_seeds_are_the_split_seeds(self):
+        assert replica_seeds(42, 5) == [seed_split(42, i) for i in range(5)]
+        assert run_replicas(lambda i, s: s, 5, 42) == replica_seeds(42, 5)
 
 
 class TestConfig:
@@ -949,6 +954,28 @@ class TestRun:
                            skiprows=1)
         ratio = table[:, 1].var() / table[:, 0].var()
         assert 0.85 < ratio < 1.15
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"family": "brownian"}, id="brownian"),
+        pytest.param({"family": "stable", "alpha": 1.5}, id="stable-1.5"),
+        pytest.param({"family": "stable", "alpha": 1.0}, id="stable-1.0"),
+        pytest.param({"family": "fbm", "hurst": 0.3}, id="fbm-0.3")])
+    def test_stable_marginal_samples_match_a_replica_loop(self, tmp_path, overrides):
+        # The batched draw writes the samples that one path per seed gives.
+        cfg = small_config("stable-marginal", replicas=200, **overrides)
+        run(cfg, output_dir=tmp_path)
+        kernel, eps = kernel_by_id(cfg.kernel_id), cfg.epsilon
+        desc = ProcessDescriptor(cfg.family, **{k: v for k, v in overrides.items()
+                                                if k != "family"})
+        lo, hi = dpsi_window(kernel, eps, (0.0, eps))
+        n = int(round((hi - lo) / (eps / 8.0))) + 1
+        loop = [normalized_increment(simulate(desc, n, hi - lo, seed_split(cfg.seed, i),
+                                              t_start=lo),
+                                     kernel, eps, window=(0.0, eps)).values[0]
+                for i in range(cfg.replicas)]
+        with open(tmp_path / "marginal_samples.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == [repr(float(x)) for x in loop]
 
     @pytest.mark.parametrize("name, overrides", [
         *(pytest.param(name, {}, id=name) for name in sorted(FAST_CONFIGS)),

@@ -24,7 +24,10 @@ from wschebor.mollifiers import (
     kernel_psi1,
     kernel_psi2,
 )
-from wschebor.paths import GridPath, ProcessDescriptor, simulate_brownian, simulate_fbm
+from wschebor.levelproc import extract_cloud
+from wschebor.measures import occupation_measure
+from wschebor.paths import (GridPath, ProcessDescriptor, replica_seeds, simulate,
+                            simulate_brownian, simulate_fbm)
 
 
 def _linear_path(lo, hi, n, slope=1.0):
@@ -34,6 +37,33 @@ def _linear_path(lo, hi, n, slope=1.0):
 
 def _const_path(lo, hi, n, c):
     return GridPath(lo, (hi - lo) / (n - 1), np.full(n, c), ProcessDescriptor("brownian"))
+
+
+class TestReplicaBatch:
+    @pytest.mark.parametrize("kernel_id, fft_route", [("psi1", False), ("triangle", True)])
+    @pytest.mark.parametrize("family,extra", [("brownian", {}), ("fbm", {"hurst": 0.7})])
+    def test_batch_equals_row_by_row(self, kernel_id, fft_route, family, extra):
+        kernel, eps = kernel_by_id(kernel_id), 2.0 ** -5
+        lo, hi = dpsi_window(kernel, eps, (0.0, 1.0))
+        n = int(round((hi - lo) * 512)) + 1
+        desc = ProcessDescriptor(family, **extra)
+        seeds = replica_seeds(5, 6)
+        batch = normalized_increment(simulate(desc, n, hi - lo, seeds, t_start=lo),
+                                     kernel, eps)
+        assert (_dpsi_stencil(kernel, eps, batch.dt)[2].size > 8) == fft_route
+        for k, seed in enumerate(seeds):
+            alone = normalized_increment(simulate(desc, n, hi - lo, seed, t_start=lo),
+                                         kernel, eps)
+            assert np.array_equal(batch.values[k].view(np.int64),
+                                  alone.values.view(np.int64))
+            assert (batch.t_start, batch.dt) == (alone.t_start, alone.dt)
+
+    def test_one_path_consumers_refuse_a_batch(self):
+        batch = simulate_brownian(257, 1.5, replica_seeds(1, 3), t_start=-0.25)
+        with pytest.raises(ParameterError, match="batch"):
+            occupation_measure(batch)
+        with pytest.raises(ParameterError, match="batch"):
+            extract_cloud(batch, 2.0 ** -4, 4, 5)
 
 
 class TestDotIncrement:

@@ -9,6 +9,7 @@ from wschebor.paths import (
     brownian_paths,
     fbm_covariance,
     fgn_batch,
+    replica_seeds,
     simulate,
     simulate_brownian,
     simulate_fbm,
@@ -69,6 +70,50 @@ def test_brownian_grids_match_separate_draws():
         assert np.array_equal(p.values.view(np.int64), alone.values.view(np.int64))
         assert (p.t_start, p.dt) == (alone.t_start, alone.dt)
         assert p.process == alone.process
+
+
+@pytest.mark.parametrize("family,extra", [
+    ("brownian", {}),
+    ("stable", {"alpha": 0.8}),
+    ("stable", {"alpha": 1.0}),
+    ("stable", {"alpha": 1.5}),
+    ("stable", {"alpha": 2.0}),
+    ("fbm", {"hurst": 0.3}),
+    ("fbm", {"hurst": 0.5}),
+    ("fbm", {"hurst": 0.7}),
+])
+@pytest.mark.parametrize("n", [2, 17, 65, 1025])
+def test_batched_rows_match_one_seed_paths(family, extra, n):
+    desc = ProcessDescriptor(family, **extra)
+    seeds = replica_seeds(3, 9)
+    batch = simulate(desc, n, 1.7, seeds, t_start=-0.3)
+    assert batch.values.shape == (len(seeds), n) and len(batch) == n
+    for k, seed in enumerate(seeds):
+        alone = simulate(desc, n, 1.7, seed, t_start=-0.3)
+        assert np.array_equal(batch.values[k].view(np.int64), alone.values.view(np.int64))
+        assert (batch.t_start, batch.dt, batch.t_end, batch.process) \
+            == (alone.t_start, alone.dt, alone.t_end, alone.process)
+
+
+def test_stable_alpha_one_consumes_the_exponentials():
+    # The tan branch still draws the exponentials, so the stream after a
+    # draw does not depend on alpha.
+    at_one, at_other = np.random.default_rng(4), np.random.default_rng(4)
+    standard_stable(1.0, at_one, 16)
+    standard_stable(1.5, at_other, 16)
+    assert at_one.random() == at_other.random()
+
+
+def test_batched_gridpath_accessors_act_on_time():
+    rows = np.array([[0.0, 1.0, 0.0, 2.0, 4.0], [0.0, -1.0, 3.0, 1.0, 0.0]])
+    p = GridPath(0.0, 0.25, rows)
+    assert len(p) == 5 and p.t_end == 1.0
+    assert np.array_equal(p.value_at(0.125), [0.5, -0.5])
+    assert np.array_equal(p.value_at([0.0, 0.75]), [[0.0, 2.0], [0.0, 1.0]])
+    sub = p.restricted(0.25, 0.75)
+    assert sub.t_start == 0.25 and np.array_equal(sub.values, rows[:, 1:4])
+    with pytest.raises(ParameterError):
+        GridPath(0.0, 0.25, rows[:, :1])
 
 
 def test_brownian_rejects_bad_grid():
