@@ -103,8 +103,9 @@ def coupled_pair(n, r, seed, oversample=8):
     above, so values that shrink as n grows show that the discrete measure
     tracks the continuum occupation measure of the same path.
     """
-    if n % 1 or r < 1:
-        raise ParameterError("n and r must be positive integers")
+    if any(k < 1 or k % 1 for k in (n, r, oversample)):
+        raise ParameterError("n, r and oversample must be positive integers")
+    n, r, oversample = int(n), int(r), int(oversample)
     eps = r / n
     dt = 1.0 / (n * oversample)
     total = 1.0 + eps
@@ -114,6 +115,7 @@ def coupled_pair(n, r, seed, oversample=8):
     v = (coarse[r:n + r] - coarse[:n]) / np.sqrt(eps)
     m_n = EmpiricalMeasure.from_samples(v)
     cont = normalized_increment(path, kernel_psi1(), eps, window=(0.0, 1.0))
+    del path, coarse  # freed before the occupation measure's sort
     mu = occupation_measure(cont)
     return m_n, mu
 

@@ -106,13 +106,13 @@ class GridPath:
         return out if np.ndim(out) else float(out)
 
     def restricted(self, t_lo, t_hi):
-        """Sub-path of the nodes inside [t_lo, t_hi]."""
+        """Sub-path of the nodes inside [t_lo, t_hi], a read-only view of this path's values."""
         i0 = int(np.ceil((t_lo - self.t_start) / self.dt - 1e-9))
         i1 = int(np.floor((t_hi - self.t_start) / self.dt + 1e-9))
         i0 = max(i0, 0)
         i1 = min(i1, len(self) - 1)
         return replace(self, t_start=self.t_start + i0 * self.dt,
-                       values=self.values[..., i0:i1 + 1].copy())
+                       values=self.values[..., i0:i1 + 1])
 
 
 def _check_grid_args(n, horizon):

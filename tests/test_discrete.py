@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -175,3 +177,26 @@ class TestCoupling:
         vals = path.values
         modulus = max(abs(vals[i + lag] - vals[i]) for i in range(0, len(vals) - lag))
         assert d <= 2.0 * modulus / np.sqrt(eps)
+
+    @pytest.mark.parametrize("n, r, oversample", [(0, 1, 8), (64, 1.5, 8), (64, 4, 0)],
+                             ids=["n=0", "r=1.5", "oversample=0"])
+    def test_rejects_bad_arguments(self, n, r, oversample):
+        with pytest.raises(ParameterError):
+            coupled_pair(n, r, 0, oversample)
+
+    def test_memory_at_the_benchmark_size(self):
+        # The path is dropped before the occupation measure sorts, and W1
+        # merges the two supports in blocks, holding two pooled-length arrays.
+        n = 2 ** 18
+        tracemalloc.start()
+        try:
+            pair = coupled_pair(n, int(n ** 0.6), 0)
+            pair_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            w1_distance(*pair)
+            w1_extra = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert pair_peak <= 80 * 2 ** 20
+        assert w1_extra <= 45 * 2 ** 20

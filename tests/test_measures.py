@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from wschebor import measures
 from wschebor.errors import CoverageError, ParameterError
 from wschebor.increments import normalized_increment
 from wschebor.measures import (
@@ -344,3 +347,69 @@ class TestBoundedLipschitzOracle:
         reference = stats.wasserstein_distance(mu.points, nu.points, mu.weights, nu.weights)
         assert abs(w1 - reference) <= rel * reference
         assert abs(w1_distance(nu, mu) - w1) <= 1e-12 * w1
+
+
+def _w1_one_sort(mu, nu):
+    """W1 from one stable sort of the pooled support: the formula the block merge reproduces."""
+    x = np.concatenate([mu.points, nu.points])
+    order = np.argsort(x, kind="stable")
+    cdf_diff = np.cumsum(np.concatenate([mu.weights, -nu.weights])[order])
+    return float(np.dot(np.abs(cdf_diff[:-1]), np.diff(x[order])))
+
+
+@st.composite
+def _tied_measures(draw):
+    """Probability measures on few distinct values, so ties and long runs of them are common."""
+    size = draw(st.integers(1, 40))
+    point = st.integers(-4, 4).map(lambda k: k / 2.0) | st.floats(-3.0, 3.0)
+    points = draw(st.lists(point, min_size=size, max_size=size))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=size, max_size=size)), float)
+    return EmpiricalMeasure(np.array(points), weights / weights.sum())
+
+
+# Cut values of block 2 in `first` are 1.0, 1.0 and 2.0: ties on a cut and a run of
+# five equal points, longer than a block, in both measures.
+_RUNS = EmpiricalMeasure.from_samples(np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0]))
+_FEW = EmpiricalMeasure(np.array([1.0, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
+
+
+def _discrete_lag_pairs():
+    """The six coupled pairs of the benchmark's discrete-lag config at seed 0."""
+    from wschebor.discrete import coupled_pair, power_schedule
+    from wschebor.paths import seed_split
+    schedule = power_schedule(0.6)
+    for nn in (2 ** 14, 2 ** 18):
+        for i in range(3):
+            yield coupled_pair(nn, int(schedule.r(nn)), seed_split(0, 100 + i))
+
+
+class TestBlockMerge:
+    """w1_distance merges the sorted supports block by block, bit for bit like one sort."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(mu=_tied_measures(), nu=_tied_measures())
+    def test_matches_one_sort(self, block, mu, nu):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "W1_BLOCK", block)
+            assert w1_distance(mu, nu).hex() == _w1_one_sort(mu, nu).hex()
+            assert w1_distance(nu, mu).hex() == _w1_one_sort(nu, mu).hex()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 9])
+    def test_ties_on_cuts_and_runs_longer_than_a_block(self, monkeypatch, block):
+        monkeypatch.setattr(measures, "W1_BLOCK", block)
+        for mu, nu in [(_RUNS, _FEW), (_FEW, _RUNS), (_RUNS, _RUNS), (_RUNS, _point_mass(1.0))]:
+            assert w1_distance(mu, nu).hex() == _w1_one_sort(mu, nu).hex()
+
+    def test_oracle_pairs_at_the_default_block(self):
+        # All but the coupled pairs at 2^13 and 2^16 lie within one block; at 2^13
+        # the occupation measure has 65 537 points, so its last block holds one.
+        for p in ORACLE_CASES:
+            mu, nu = p.values[0](p.values[1])
+            assert w1_distance(mu, nu).hex() == _w1_one_sort(mu, nu).hex()
+            assert w1_distance(nu, mu).hex() == _w1_one_sort(nu, mu).hex()
+
+    def test_discrete_lag_pairs_at_the_default_block(self):
+        for m_n, mu in _discrete_lag_pairs():
+            assert mu.points.size > 2 * measures.W1_BLOCK  # so every pair spans several blocks
+            assert w1_distance(m_n, mu).hex() == _w1_one_sort(m_n, mu).hex()

@@ -308,11 +308,15 @@ def test_descriptor_consistency():
 
 
 def test_gridpath_interpolation_and_restriction():
+    """`restricted` returns a read-only view of the parent's values, not a copy."""
     p = GridPath(0.0, 0.25, np.array([0.0, 1.0, 0.0, 2.0, 4.0]))
     assert p.value_at(0.125) == 0.5
     assert p.value_at(0.75) == 2.0
     sub = p.restricted(0.25, 0.75)
     assert sub.t_start == 0.25
     assert np.array_equal(sub.values, [1.0, 0.0, 2.0])
+    assert np.shares_memory(sub.values, p.values)
+    with pytest.raises(ValueError):
+        sub.values[0] = 5.0
     with pytest.raises(ParameterError):
         p.value_at(1.5)
