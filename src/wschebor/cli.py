@@ -1,10 +1,12 @@
 """Reproducible experiment runner.
 
 Each experiment is a pure function of (config, seed): replicas draw their
-seeds from a counter-based derivation, run in a thread pool, and are
-merged in replica order, so results are byte-identical regardless of
-scheduling or thread count.  Wall-clock timing goes to a sidecar file and
-never into results.json, keeping the primary outputs deterministic.
+seeds from a counter-based derivation and are merged in replica order, so
+results are byte-identical regardless of scheduling or thread count.
+Only `wschebor-check` runs its replicas in a thread pool, of `threads`
+workers.  Every check's bound is fixed by the experiment that makes it; no
+config sets it.  Wall-clock timing goes to a sidecar file and never into
+results.json, keeping the primary outputs deterministic.
 
 Exit codes: 0 success, 1 invalid configuration, 2 failed acceptance
 check under --strict, 3 internal error.
@@ -20,7 +22,7 @@ import sys
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,26 +55,24 @@ def run_replicas(fn, replicas, master_seed, threads=1):
 EXPERIMENTS = {}  # name -> (fn, description)
 SPECS = {}        # name -> ExperimentSpec
 # Every experiment may be given these; it must declare any other field it reads.
-COMMON_FIELDS = {"experiment", "seed", "threads", "output_dir", "tolerances"}
+COMMON_FIELDS = {"experiment", "seed", "threads", "output_dir"}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """The config fields an experiment reads beyond COMMON_FIELDS, the tolerance
-    names it reads, its check(config) of field combinations it cannot run, and
-    its own defaults for fields it reads."""
+    """The config fields an experiment reads beyond COMMON_FIELDS, its
+    check(config) of field combinations it cannot run, and its own defaults
+    for fields it reads."""
 
     reads: frozenset
-    tolerances: frozenset
     check: object
     defaults: dict
 
 
-def experiment(name, description, reads, tolerances=(), check=None, defaults=None):
+def experiment(name, description, reads, check=None, defaults=None):
     def wrap(fn):
         EXPERIMENTS[name] = (fn, description)
-        SPECS[name] = ExperimentSpec(frozenset(reads), frozenset(tolerances), check,
-                                     defaults or {})
+        SPECS[name] = ExperimentSpec(frozenset(reads), check, defaults or {})
         return fn
     return wrap
 
@@ -95,7 +95,6 @@ class ExperimentConfig:
     n_discrete: int = 2 ** 18
     threads: int = 1
     output_dir: str = "results"
-    tolerances: dict = field(default_factory=dict)
 
     def to_dict(self):
         return asdict(self)
@@ -153,26 +152,15 @@ class ExperimentConfig:
                 ("threads", self.threads >= 1, "must be at least 1")):
             if not ok:
                 raise ConfigError(name, rule)
-        unknown = set(self.tolerances) - spec.tolerances
-        if unknown:
-            raise ConfigError("tolerances", f"{self.experiment} reads no tolerance "
-                                            f"{sorted(unknown)[0]!r}; it reads "
-                                            f"{sorted(spec.tolerances)}")
         if spec.check is not None:
             spec.check(self)
 
-    def tolerance(self, name, default):
-        return float(self.tolerances.get(name, default))
 
-
-_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               dict: "an object of finite numbers"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _fits(value, kind):
     """Whether a JSON value fits a config field of type `kind`."""
-    if kind is dict:
-        return isinstance(value, dict) and all(_fits(v, float) for v in value.values())
     if kind is float:
         return _fits(value, int) or isinstance(value, float) and math.isfinite(value)
     return isinstance(value, kind) and not isinstance(value, bool)
@@ -242,12 +230,10 @@ def _check_wschebor(config):
 
 @experiment("wschebor-check",
             "occupation measure of normalized increments against the Gaussian limit",
-            reads=("kernel_id", "epsilon", "grid_n", "replicas"), tolerances=("ks_to_phi",),
-            check=_check_wschebor)
+            reads=("kernel_id", "epsilon", "grid_n", "replicas"), check=_check_wschebor)
 def run_wschebor_check(config):
     from scipy import special
     kernel = kernel_by_id(config.kernel_id)
-    tol = config.tolerance("ks_to_phi", 0.05)
     scale = kernel.norm(2)
     xs = np.linspace(-4.0 * scale, 4.0 * scale, 161)
 
@@ -261,11 +247,9 @@ def run_wschebor_check(config):
     ks_fine = np.array([r[1] for r in results])
     cdfs = np.array([r[2] for r in results])
     metrics = [
-        metric("ks_to_phi", ks_coarse[0], tol),
-        metric("ks_to_phi_median", float(np.median(ks_coarse)), tol),
-        metric("median_decreases_at_smaller_eps",
-               float(np.median(ks_fine)), float(np.median(ks_coarse)),
-               passed=bool(np.median(ks_fine) <= np.median(ks_coarse))),
+        metric("ks_to_phi", ks_coarse[0], 0.05),
+        metric("ks_to_phi_median", np.median(ks_coarse), 0.05),
+        metric("median_decreases_at_smaller_eps", np.median(ks_fine), np.median(ks_coarse)),
     ]
     cdf_rows = np.column_stack([xs, cdfs[0], cdfs.mean(axis=0), special.ndtr(xs / scale)])
     tables = {
@@ -288,8 +272,7 @@ def _check_bounded_density(config):
 
 @experiment("spectral-tables",
             "spectral density and covariance tables with the variance identity",
-            reads=("kernel_id", "hurst"), tolerances=("variance_consistency",),
-            check=_check_bounded_density)
+            reads=("kernel_id", "hurst"), check=_check_bounded_density)
 def run_spectral_tables(config):
     kernel = kernel_by_id(config.kernel_id)
     dens = spectral.spectral_density(kernel, config.hurst)
@@ -299,8 +282,7 @@ def run_spectral_tables(config):
     metrics = []
     if kernel.has_derivative_measure:
         s2 = spectral.sigma_sq(kernel, config.hurst)
-        metrics.append(metric("variance_consistency", abs(dens.variance - s2),
-                              config.tolerance("variance_consistency", 1e-4)))
+        metrics.append(metric("variance_consistency", abs(dens.variance - s2), 1e-4))
     metrics.append(metric("sup_value", dens.sup_value, None, passed=True))
     tables = {
         "density.csv": [("lambda", "density")] + [
@@ -327,8 +309,8 @@ def _check_ou_match(config):
 
 @experiment("ou-match",
             "covariance of the unit-scale process against the OU law, with kernel checks",
-            reads=("kernel_id", "horizon", "replicas"), tolerances=("fourier_error",),
-            check=_check_ou_match, defaults={"kernel_id": "ou-exp"})
+            reads=("kernel_id", "horizon", "replicas"), check=_check_ou_match,
+            defaults={"kernel_id": "ou-exp"})
 def run_ou_match(config):
     kernel = kernel_by_id(config.kernel_id)
     checks = spectral.verify_ou_match(kernel, OU_LAGS,
@@ -338,10 +320,9 @@ def run_ou_match(config):
     for c in checks:
         metrics.append(metric(f"cov_dev_lag_{c.lag:g}", c.deviation,
                               4.0 * c.stderr))
-    ft_tol = config.tolerance("fourier_error", 1e-6)
     for lam in (0.0, 1.0, 5.0):
         err = abs(abs(mollifiers.fourier(kernel, lam)) - np.sqrt(kernel.fourier_abs2(lam)))
-        metrics.append(metric(f"fourier_error_{lam:g}", err, ft_tol))
+        metrics.append(metric(f"fourier_error_{lam:g}", err, 1e-6))
     dens = spectral.spectral_density(kernel, 0.5)
     cov_err = max(abs(spectral.covariance_from_density(dens, t) - np.exp(-t)) for t in OU_LAGS)
     metrics.append(metric("spectral_cov_error", cov_err, 1e-8))
@@ -355,8 +336,7 @@ def run_ou_match(config):
 
 @experiment("moment-rate",
             "rate function of the time-averaged squared increment process",
-            reads=("kernel_id", "hurst"), tolerances=("closed_form_error", "rate_at_variance"),
-            check=_check_bounded_density)
+            reads=("kernel_id", "hurst"), check=_check_bounded_density)
 def run_moment_rate(config):
     kernel = kernel_by_id(config.kernel_id)
     dens = spectral.spectral_density(kernel, config.hurst)
@@ -368,11 +348,9 @@ def run_moment_rate(config):
     if kernel.kernel_id.startswith(("ou-", "fbm-ou:")) and config.hurst == kernel.critical_hurst:
         closed = [(x + 1.0 / x - 2.0) / 4.0 for x in xs]
         err = max(abs(v - c) for v, c in zip(curve.values, closed))
-        metrics.append(metric("closed_form_error", err,
-                              config.tolerance("closed_form_error", 1e-6)))
+        metrics.append(metric("closed_form_error", err, 1e-6))
     at_var = ldp.moment_rate(dens, [dens.variance]).values[0]
-    metrics.append(metric("rate_at_variance", at_var,
-                          config.tolerance("rate_at_variance", 1e-6)))
+    metrics.append(metric("rate_at_variance", at_var, 1e-6))
     second = np.diff(curve.values, 2)
     metrics.append(metric("convexity_defect",
                           float(abs(min(second.min(), 0.0))) if second.size else 0.0,
@@ -386,7 +364,7 @@ def run_moment_rate(config):
 
 @experiment("level-process",
             "characteristic functionals and ball frequencies of the window cloud",
-            reads=("epsilon", "t_count", "s_count"), tolerances=("char_functional",))
+            reads=("epsilon", "t_count", "s_count"))
 def run_level_process(config):
     eps = config.epsilon
     s_count = config.s_count
@@ -404,23 +382,15 @@ def run_level_process(config):
         [(0.5, 1.0)],
         [(0.5, 1.0), (1.0, 1.0)],
     ]
-    tol = config.tolerance("char_functional", 0.05)
     metrics = []
     rows = [("atoms", "empirical_re", "empirical_im", "limit", "deviation")]
-    report_entries = []
     for k, atoms in enumerate(atom_sets):
         emp = levelproc.char_functional(cloud, atoms)
         lim = levelproc.char_functional_limit(atoms)
         dev = abs(emp - lim)
-        metrics.append(metric(f"char_dev_{k}", dev, tol))
+        metrics.append(metric(f"char_dev_{k}", dev, 0.05))
         rows.append((json.dumps(atoms), repr(emp.real), repr(emp.imag),
                      repr(lim), repr(dev)))
-        report_entries.append({
-            "atoms": atoms,
-            "empirical": [emp.real, emp.imag],
-            "limit": lim,
-            "deviation": dev,
-        })
     ball_eps = 2.0 ** -8
     cloud_b = cloud_at(ball_eps, 1)
     freq = levelproc.l2_ball_frequency(cloud_b, np.zeros(s_count), 1.0)
@@ -428,23 +398,14 @@ def run_level_process(config):
     oracle, quad_error = levelproc.gaussian_ball_probability(np.minimum.outer(s, s), s[1], 1.0)
     n_eff = levelproc.effective_snapshot_count(cloud_b)
     se_cloud = np.sqrt(max(freq * (1.0 - freq), 1e-12) / n_eff)
-    dev = abs(freq - oracle)
-    metrics.append(metric("ball_frequency_dev", dev, 3.0 * se_cloud))
-    report = {
-        "epsilon": eps,
-        "t_count": config.t_count,
-        "char_functionals": report_entries,
-        "ball": {
-            "epsilon": ball_eps,
-            "frequency": freq,
-            "oracle_probability": oracle,
-            "deviation": dev,
-            "cloud_stderr": se_cloud,
-            "oracle_quad_error": quad_error,
-        },
+    metrics.append(metric("ball_frequency_dev", abs(freq - oracle), 3.0 * se_cloud))
+    tables = {
+        "char_functional.csv": rows,
+        "ball.csv": [("epsilon", "frequency", "oracle_probability", "cloud_stderr",
+                      "oracle_quad_error"),
+                     tuple(repr(float(x)) for x in (ball_eps, freq, oracle, se_cloud,
+                                                    quad_error))],
     }
-    tables = {"char_functional.csv": rows,
-              "levelproc_report.json": report}
     return metrics, tables
 
 
@@ -469,15 +430,14 @@ def _check_discrete_lag(config):
 
 @experiment("discrete-lag",
             "sliding-window increment measures with growing lags",
-            reads=("lag_kind", "n_discrete", "replicas"), tolerances=("ks_to_phi",),
-            check=_check_discrete_lag)
+            reads=("lag_kind", "n_discrete", "replicas"), check=_check_discrete_lag)
 def run_discrete_lag(config):
     from scipy import special
     schedule = _lag_schedule(config)
     n = config.n_discrete
     r = int(schedule.r(n))
     # Windows of lag r overlap, so only about n / r of them are independent.
-    tol = config.tolerance("ks_to_phi", measures.ks_critical_value(n / r, alpha=0.05))
+    tol = measures.ks_critical_value(n / r, alpha=0.05)
     metrics = []
     for idx, (name, gen) in enumerate((("gaussian", dsc.gaussian_innovations),
                                        ("uniform", dsc.uniform_innovations))):
@@ -599,7 +559,8 @@ def run(config, output_dir=None, strict=False):
 
 
 def _write_outputs(out, results, elapsed, tables):
-    """Write the outputs; a NaN or inf bound for a JSON file raises ValueError."""
+    """Write results.json, timing.json and the CSV tables; a NaN or inf in a
+    JSON file raises ValueError."""
     with open(out / "results.json", "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -607,20 +568,13 @@ def _write_outputs(out, results, elapsed, tables):
         json.dump({"seconds": elapsed}, fh, allow_nan=False)
         fh.write("\n")
     for name, rows in tables.items():
-        if name.endswith(".json"):
-            with open(out / name, "w") as fh:
-                json.dump(rows, fh, indent=2, sort_keys=True, allow_nan=False)
-                fh.write("\n")
-            continue
         with open(out / name, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
 
 
 def list_experiments(as_json=False):
     if as_json:
-        return json.dumps({name: {"description": desc,
-                                  "fields": sorted(SPECS[name].reads),
-                                  "tolerances": sorted(SPECS[name].tolerances)}
+        return json.dumps({name: {"description": desc, "fields": sorted(SPECS[name].reads)}
                            for name, (_, desc) in EXPERIMENTS.items()},
                           indent=2, sort_keys=True)
     lines = [f"{name}: {desc}" for name, (_, desc) in sorted(EXPERIMENTS.items())]

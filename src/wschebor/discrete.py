@@ -70,9 +70,9 @@ def discrete_measure(xs, r):
     sums come from one cumulative sum pass.
     """
     xs = np.asarray(xs, dtype=float)
-    r = int(r)
-    if r < 1:
+    if r < 1 or r % 1:
         raise ParameterError("lag must be a positive integer")
+    r = int(r)
     n = xs.size - r
     if n < 1:
         raise ParameterError(f"need at least r + 1 = {r + 1} innovations, got {xs.size}")

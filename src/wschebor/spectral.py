@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ParameterError, QuadratureError
 from .increments import correlate_valid, unit_scale_process
 from .mollifiers import hurst_normalizer_sq
-from .paths import (BROWNIAN, GridPath, ProcessDescriptor, _rng, replica_seeds,
-                    simulate_brownian)
+from .paths import _rng, replica_seeds, simulate_brownian
 
 HEAD_CUTOFF = 64.0
 
@@ -233,33 +232,6 @@ def _filter_weights(kernel, dt):
     return half, np.asarray(kernel.psi((m - 0.5) * dt), dtype=float)
 
 
-def _filter_brownian_increments(half, weights, horizon, dt, seed):
-    n_cells = int(round((horizon + 2 * half) / dt))
-    dw = _rng(seed).standard_normal(n_cells) * np.sqrt(dt)
-    vals = correlate_valid(dw, weights)
-    return GridPath(0.0, dt, vals, ProcessDescriptor(BROWNIAN))
-
-
-def _unit_scale_sampler(kernel, horizon):
-    """Closure drawing one unit-scale path per seed on a 1/256 grid; kernel setup shared."""
-    dt = 1.0 / 256
-    if kernel.has_derivative_measure:
-        a, b = kernel.dpsi_hull()
-        lo = -b  # unit-scale process at t needs X on [t - b, t - a]
-        hi = horizon - a
-        n = int(round((hi - lo) / dt)) + 1
-
-        def draw(seed):
-            src = simulate_brownian(n, hi - lo, seed, t_start=lo)
-            return unit_scale_process(src, kernel, window=(0.0, horizon))
-    else:
-        half, weights = _filter_weights(kernel, dt)
-
-        def draw(seed):
-            return _filter_brownian_increments(half, weights, horizon, dt, seed)
-    return draw
-
-
 def verify_ou_match(kernel, lags, replicas, horizon=50.0, seed=0):
     """Empirical covariance of the unit-scale process against e^{-|t|}.
 
@@ -270,18 +242,24 @@ def verify_ou_match(kernel, lags, replicas, horizon=50.0, seed=0):
     """
     if kernel.kernel_id not in ("ou-exp", "ou-bessel"):
         raise ParameterError("OU matching is defined for the ou-exp and ou-bessel kernels")
-    draw = _unit_scale_sampler(kernel, horizon)
-    estimates = np.empty((replicas, len(lags)))
-    for r, replica_seed in enumerate(replica_seeds(seed, replicas)):
-        y = draw(replica_seed)
-        v = y.values
-        for j, lag in enumerate(lags):
-            k = int(round(lag / y.dt))
-            estimates[r, j] = np.mean(v[:v.size - k] * v[k:]) if k < v.size else np.nan
+    seeds = replica_seeds(seed, replicas)
+    dt = 1.0 / 256
+    if kernel.has_derivative_measure:
+        a, b = kernel.dpsi_hull()
+        lo, hi = -b, horizon - a  # unit-scale process at t needs X on [t - b, t - a]
+        src = simulate_brownian(int(round((hi - lo) / dt)) + 1, hi - lo, seeds, t_start=lo)
+        y = unit_scale_process(src, kernel, window=(0.0, horizon))
+        v, dt = y.values, y.dt
+    else:
+        half, weights = _filter_weights(kernel, dt)
+        n_cells = int(round((horizon + 2 * half) / dt))
+        dw = np.array([_rng(s).standard_normal(n_cells) for s in seeds]) * np.sqrt(dt)
+        v = correlate_valid(dw, weights)
     checks = []
-    for j, lag in enumerate(lags):
-        col = estimates[:, j]
-        se = float(col.std(ddof=1) / np.sqrt(replicas))
-        checks.append(LagCheck(lag=float(lag), estimate=float(col.mean()),
+    for lag in lags:
+        k = int(round(lag / dt))
+        row = np.mean(v[:, :v.shape[1] - k] * v[:, k:], axis=1)  # one estimate per replica
+        se = float(row.std(ddof=1) / np.sqrt(replicas))
+        checks.append(LagCheck(lag=float(lag), estimate=float(row.mean()),
                                stderr=se, target=float(np.exp(-abs(lag)))))
     return checks

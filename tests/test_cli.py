@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import wschebor
-from wschebor import discrete, levelproc, measures
+from wschebor import discrete, ldp, levelproc, measures, spectral
 from wschebor.cli import (
     COMMON_FIELDS,
     EXPERIMENTS,
@@ -241,6 +241,12 @@ class TestConfig:
             for cfg in (small_config(name), ExperimentConfig.from_dict({"experiment": name})):
                 assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_sixteen_fields(self):
+        # Each field is a knob that every experiment reads or refuses; one
+        # added, or a removed one brought back, has to change this count.
+        assert len(dataclasses.fields(ExperimentConfig)) == 16
+        assert "tolerances" not in ExperimentConfig.__dataclass_fields__
+
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict({"experiment": "moment-rate", "bogus": 1})
@@ -333,14 +339,6 @@ MALFORMED = {
                     "epsilon:", 1),
     "horizon-minus-inf": ({"experiment": "moment-rate", "horizon": -float("inf")}, [],
                           "horizon:", 1),
-    "tolerances-list": ({"experiment": "moment-rate", "tolerances": [1]}, [],
-                        "tolerances:", 1),
-    "tolerances-string-value": ({"experiment": "moment-rate",
-                                 "tolerances": {"closed_form_error": "x"}}, [],
-                                "tolerances:", 1),
-    "tolerances-nan-value": ({"experiment": "moment-rate",
-                              "tolerances": {"closed_form_error": float("nan")}}, [],
-                             "tolerances:", 1),
     "ou-match-psi1-kernel": ({"experiment": "ou-match", "kernel_id": "psi1"}, [],
                              "kernel_id:", 1),
     "wschebor-check-coarse-grid": ({"experiment": "wschebor-check", "grid_n": 8}, [],
@@ -381,6 +379,9 @@ MALFORMED = {
                            "value_bins:", 1),
     "removed-custom-lag-table": ({"experiment": "discrete-lag",
                                   "lag_kind": "custom:lags.csv"}, [], "lag_kind:", 1),
+    # Check bounds are fixed by each experiment; even an empty override is refused.
+    "removed-tolerances": ({"experiment": "wschebor-check", "tolerances": {}}, [],
+                           "tolerances: unknown configuration field", 1),
     "ou-match-one-replica": ({"experiment": "ou-match", "kernel_id": "ou-exp",
                               "replicas": 1}, [], "replicas:", 1),
     "spectral-tables-unbounded-fbm-ou-at-half": ({"experiment": "spectral-tables",
@@ -408,11 +409,6 @@ MALFORMED = {
     "moment-rate-fbm-ou-0_3-at-0_35": ({"experiment": "moment-rate",
                                         "kernel_id": "fbm-ou:H=0.3", "hurst": 0.35}, [],
                                        "hurst:", 1),
-    "tolerances-unknown-name": ({"experiment": "wschebor-check",
-                                 "tolerances": {"ks_to_phy": 1e-9}}, [], "tolerances:", 1),
-    "tolerances-other-experiments-name": ({"experiment": "stable-marginal",
-                                           "tolerances": {"ks_to_phi": 0.1}}, [],
-                                          "tolerances:", 1),
 }
 
 
@@ -431,8 +427,6 @@ class TestExitCodes:
 
     def test_valid_edges_still_accepted(self):
         ExperimentConfig.from_dict({"experiment": "stable-marginal", "epsilon": 1})
-        ExperimentConfig.from_dict({"experiment": "moment-rate",
-                                    "tolerances": {"closed_form_error": 1}})
         ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-bessel"})
         # epsilon/4 is 4 steps of a 1/256 grid, the coarsest that admits it
         ExperimentConfig.from_dict({"experiment": "wschebor-check",
@@ -447,9 +441,6 @@ class TestExitCodes:
                                         "kernel_id": "fbm-ou:H=0.4", "hurst": hurst})
         ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-exp",
                                     "replicas": 2})
-        for name, spec in SPECS.items():
-            ExperimentConfig.from_dict({"experiment": name, **FAST_CONFIGS[name],
-                                        "tolerances": {t: 1.0 for t in spec.tolerances}})
         ExperimentConfig.from_dict({"experiment": "discrete-lag", "n_discrete": 2 ** 8})
         # horizon only has to exceed the largest checked lag, 2
         ExperimentConfig.from_dict({"experiment": "ou-match", "kernel_id": "ou-exp",
@@ -477,9 +468,9 @@ class TestExitCodes:
 
     def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
         def unwritable(config):
-            return [], {"a.csv": [("x",), (1,)], "b.json": {"x": object()}}
+            return [], {"a.csv": [("x",), (1,)], "b.csv": [("x",), 1]}  # 1 is no row
         monkeypatch.setitem(EXPERIMENTS, "moment-rate", (unwritable, "bad table"))
-        with pytest.raises(TypeError):
+        with pytest.raises(csv.Error):
             run(small_config("moment-rate"), output_dir=tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
@@ -500,9 +491,9 @@ class TestExitCodes:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
 
         def unwritable(config):
-            return [], {"rate_curve.csv": [("x",), (1,)], "b.json": {"x": object()}}
+            return [], {"rate_curve.csv": [("x",), (1,)], "b.csv": [("x",), 1]}  # 1 is no row
         monkeypatch.setitem(EXPERIMENTS, "moment-rate", (unwritable, "bad table"))
-        with pytest.raises(TypeError):
+        with pytest.raises(csv.Error):
             run(small_config("moment-rate"), output_dir=out)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
@@ -615,10 +606,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         assert sorted(payload) == sorted(EXPERIMENTS)
         for name, entry in payload.items():
             assert entry == {"description": EXPERIMENTS[name][1],
-                             "fields": sorted(SPECS[name].reads),
-                             "tolerances": sorted(SPECS[name].tolerances)}
+                             "fields": sorted(SPECS[name].reads)}
         assert payload["ou-match"]["fields"] == ["horizon", "kernel_id", "replicas"]
-        assert payload["stable-marginal"]["tolerances"] == []
 
     def test_cli_entrypoints(self, capsys):
         assert main(["list"]) == 0
@@ -650,16 +639,33 @@ class TestRun:
         assert (tmp_path / "rate_curve.csv").read_text().startswith("x,rate")
         assert (tmp_path / "timing.json").exists()
 
-    def test_strict_failure_exit_code(self, tmp_path):
-        cfg = small_config("moment-rate",
-                           tolerances={"closed_form_error": 1e-30})
+    def test_strict_failure_exit_code(self, tmp_path, monkeypatch):
+        # A rate curve 1e-5 off in relative terms fails the OU closed form;
+        # unmutated, the same config passes.
+        cfg = small_config("moment-rate")
+        assert run(cfg, output_dir=tmp_path, strict=True) == 0
+        exact = ldp.moment_rate
+
+        def off(dens, xs):
+            curve = exact(dens, xs)
+            return dataclasses.replace(curve, values=curve.values * (1.0 + 1e-5))
+        monkeypatch.setattr(ldp, "moment_rate", off)
         assert run(cfg, output_dir=tmp_path, strict=True) == 2
         assert run(cfg, output_dir=tmp_path, strict=False) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert [m["name"] for m in res["metrics"] if not m["pass"]] == ["closed_form_error"]
 
-    def test_variance_consistency_can_fail(self, tmp_path):
-        cfg = small_config("spectral-tables", kernel_id="triangle", hurst=0.5,
-                           tolerances={"variance_consistency": 1e-15})
+    def test_variance_consistency_can_fail(self, tmp_path, monkeypatch):
+        # sigma_sq 1e-3 off in relative terms fails the variance identity;
+        # unmutated, the same config passes.
+        cfg = small_config("spectral-tables", kernel_id="triangle", hurst=0.5)
+        assert run(cfg, output_dir=tmp_path, strict=True) == 0
+        exact = spectral.sigma_sq
+        monkeypatch.setattr(spectral, "sigma_sq",
+                            lambda kernel, hurst: exact(kernel, hurst) * (1.0 + 1e-3))
         assert run(cfg, output_dir=tmp_path, strict=True) == 2
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert [m["name"] for m in res["metrics"] if not m["pass"]] == ["variance_consistency"]
 
     def test_no_variance_consistency_without_derivative_measure(self, tmp_path):
         run(small_config("spectral-tables", kernel_id="ou-bessel"), output_dir=tmp_path)
@@ -685,11 +691,18 @@ class TestRun:
     def test_level_process_report_schema(self, tmp_path):
         cfg = small_config("level-process")
         run(cfg, output_dir=tmp_path)
-        report = json.loads((tmp_path / "levelproc_report.json").read_text())
-        assert {"char_functionals", "ball"} <= set(report)
-        entry = report["char_functionals"][0]
-        assert {"atoms", "empirical", "limit", "deviation"} <= set(entry)
-        assert {"frequency", "oracle_probability", "oracle_quad_error"} <= set(report["ball"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ball.csv", "char_functional.csv", "results.json", "timing.json"]
+        with open(tmp_path / "ball.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["epsilon", "frequency", "oracle_probability", "cloud_stderr",
+                          "oracle_quad_error"]
+        assert len(rows) == 1 and float(rows[0][0]) == 2.0 ** -8
+        res = json.loads((tmp_path / "results.json").read_text())
+        ball = dict(zip(header, map(float, rows[0])))
+        check = [m for m in res["metrics"] if m["name"] == "ball_frequency_dev"][0]
+        assert check["value"] == abs(ball["frequency"] - ball["oracle_probability"])
+        assert check["tolerance"] == 3.0 * ball["cloud_stderr"]
 
     def test_ball_cloud_windows_lie_on_source_nodes(self, tmp_path, monkeypatch):
         # An off-node window is interpolated between two nodes and has less
@@ -779,9 +792,8 @@ class TestRun:
         fn, _ = EXPERIMENTS[name]
         _, tables = fn(small_config(name))
         _write_outputs(tmp_path, {}, 0.0, tables)
-        csv_tables = {k: rows for k, rows in tables.items() if k.endswith(".csv")}
-        assert csv_tables
-        for k, rows in csv_tables.items():
+        assert tables and all(k.endswith(".csv") for k in tables)
+        for k, rows in tables.items():
             assert (tmp_path / k).read_bytes() == csv_writer_bytes(rows).encode()
 
     @pytest.mark.parametrize("kernel_id, hurst, checked", [

@@ -48,6 +48,18 @@ class TestDiscreteMeasure:
         with pytest.raises(ParameterError):
             discrete_measure(np.zeros(5), 0)
 
+    @pytest.mark.parametrize("r, whole", [(1.5, False), (4.0, True)],
+                             ids=["r=1.5", "r=4.0"])
+    def test_lag_must_be_whole(self, r, whole):
+        # A non-integral lag is refused, as coupled_pair refuses it, not truncated.
+        xs = np.arange(12.0)
+        if not whole:
+            with pytest.raises(ParameterError):
+                discrete_measure(xs, r)
+            return
+        assert np.array_equal(discrete_measure(xs, r).points,
+                              discrete_measure(xs, int(r)).points)
+
     @pytest.mark.parametrize("gen", [gaussian_innovations, uniform_innovations])
     def test_gaussian_limit_large_n(self, gen):
         n = 2 ** 18

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wschebor.errors import ParameterError
-from wschebor.increments import unit_scale_process
+from wschebor.increments import correlate_valid, unit_scale_process
 from wschebor.mollifiers import (
     kernel_by_id,
     kernel_ou_bessel,
@@ -12,8 +12,9 @@ from wschebor.mollifiers import (
     kernel_psi1,
     kernel_psi2,
 )
-from wschebor.paths import simulate_brownian
+from wschebor.paths import _rng, replica_seeds, simulate_brownian
 from wschebor.spectral import (
+    _filter_weights,
     covariance_from_density,
     sigma_sq,
     spectral_density,
@@ -204,6 +205,35 @@ class TestOuMatch:
 
     def test_empty_lags(self):
         assert verify_ou_match(kernel_ou_exponential(), [], replicas=4) == []
+
+    @pytest.mark.parametrize("kernel", [kernel_ou_exponential(), kernel_ou_bessel()],
+                             ids=["ou-exp", "ou-bessel"])
+    def test_batch_matches_a_replica_loop(self, kernel):
+        # The reference draws one path per replica seed: a Brownian source for
+        # a derivative measure, filtered white noise otherwise.  The batch
+        # gives its estimates and standard errors bit for bit.
+        lags, replicas, horizon, dt = (0.0, 1.0, 2.0), 20, 50.0, 1.0 / 256
+        est = []
+        for seed in replica_seeds(0, replicas):
+            if kernel.has_derivative_measure:
+                a, b = kernel.dpsi_hull()
+                src = simulate_brownian(int(round((horizon - a + b) / dt)) + 1,
+                                        horizon - a + b, seed, t_start=-b)
+                y = unit_scale_process(src, kernel, window=(0.0, horizon))
+                v, step = y.values, y.dt
+            else:
+                half, weights = _filter_weights(kernel, dt)
+                n_cells = int(round((horizon + 2 * half) / dt))
+                v = correlate_valid(_rng(seed).standard_normal(n_cells) * np.sqrt(dt),
+                                    weights)
+                step = dt
+            ks = [int(round(lag / step)) for lag in lags]
+            est.append([np.mean(v[:v.size - k] * v[k:]) for k in ks])
+        est = np.array(est)
+        checks = verify_ou_match(kernel, lags, replicas, horizon=horizon, seed=0)
+        for j, check in enumerate(checks):
+            assert check.estimate == float(est[:, j].mean())
+            assert check.stderr == float(est[:, j].std(ddof=1) / np.sqrt(replicas))
 
     def test_rejects_other_kernels(self):
         with pytest.raises(ParameterError):
