@@ -379,9 +379,23 @@ MALFORMED = {
                            "value_bins:", 1),
     "removed-custom-lag-table": ({"experiment": "discrete-lag",
                                   "lag_kind": "custom:lags.csv"}, [], "lag_kind:", 1),
-    # Check bounds are fixed by each experiment; even an empty override is refused.
+    # Check bounds are fixed by each experiment; any override, even an empty one, is refused.
     "removed-tolerances": ({"experiment": "wschebor-check", "tolerances": {}}, [],
                            "tolerances: unknown configuration field", 1),
+    "tolerances-list": ({"experiment": "moment-rate", "tolerances": [1]}, [],
+                        "tolerances: unknown configuration field", 1),
+    "tolerances-string-value": ({"experiment": "moment-rate",
+                                 "tolerances": {"closed_form_error": "x"}}, [],
+                                "tolerances: unknown configuration field", 1),
+    "tolerances-nan-value": ({"experiment": "moment-rate",
+                              "tolerances": {"closed_form_error": float("nan")}}, [],
+                             "tolerances: unknown configuration field", 1),
+    "tolerances-unknown-name": ({"experiment": "wschebor-check",
+                                 "tolerances": {"ks_to_phy": 1e-9}}, [],
+                                "tolerances: unknown configuration field", 1),
+    "tolerances-other-experiments-name": ({"experiment": "stable-marginal",
+                                           "tolerances": {"ks_to_phi": 0.1}}, [],
+                                          "tolerances: unknown configuration field", 1),
     "ou-match-one-replica": ({"experiment": "ou-match", "kernel_id": "ou-exp",
                               "replicas": 1}, [], "replicas:", 1),
     "spectral-tables-unbounded-fbm-ou-at-half": ({"experiment": "spectral-tables",
